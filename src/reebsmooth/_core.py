@@ -1,8 +1,7 @@
-"""Pure numpy + scipy level/slab sweep.
+"""The level/slab sweep, in numpy + scipy.
 
-Same contract as the compiled kernel in _sweep.pyx: given activity windows
-(in level ranks) for every simplex and every codim-1 incidence pair, produce
-the pre-splice quotient skeleton.
+Given activity windows (in level ranks) for every simplex and every codim-1
+incidence pair, produce the pre-splice quotient skeleton.
 
 Nodes are the connected components of each level (rank t active window
 min <= t <= max), arcs the components of each open slab between consecutive
@@ -14,6 +13,10 @@ each slab's arcs after its bottom level.
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+
+# The sweep has one implementation.  The name stays because run provenance
+# (the benchmark's `provenance()`) reports it.
+BACKEND = "pure"
 
 
 def _canonical_components(active, a_local, b_local):

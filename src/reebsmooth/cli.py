@@ -189,7 +189,7 @@ def cmd_range(args):
     if not args.measure:
         raise ValidationError("range needs --measure")
     mu = load_weighted_points(args.measure)
-    graph, cdf = range_integrated_reeb(X, f, mu, subdivide=args.subdivide)
+    graph, cdf = range_integrated_reeb(X, f, mu)
     extra = {
         "cdf": {
             "knots": [float(k) for k in cdf.knots],
@@ -337,7 +337,6 @@ def _build_parser():
 
     p = sub.add_parser("range", help="range-integrated Reeb graph")
     io_flags(p, measure=True)
-    p.add_argument("--subdivide", action="store_true", help="split 1-complex edges at CDF knots")
     p.set_defaults(func=cmd_range)
 
     p = sub.add_parser("stability", help="stability experiment trials")

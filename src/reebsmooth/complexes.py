@@ -229,19 +229,6 @@ class SimplicialComplex:
                         )
         return True
 
-    # -- comparisons (tests) ---------------------------------------------------
-
-    def same_structure(self, other):
-        if not np.array_equal(self.vertex_ids, other.vertex_ids):
-            return False
-        if not np.array_equal(self.coords, other.coords):
-            return False
-        if sorted(self.simplices) != sorted(other.simplices):
-            return False
-        return all(
-            np.array_equal(self.simplices[d], other.simplices[d]) for d in self.simplices
-        )
-
 
 @dataclass(frozen=True)
 class ThickenedComplex:
@@ -250,24 +237,12 @@ class ThickenedComplex:
     complex: the staircase-triangulated thickening.
     base_index/offset: per thickened vertex, the base vertex index and the
         interval offset t (so the field value is f(base) + offset, exactly).
-    layer_table: (n_base, 3) thickened-vertex index of the (lower, middle,
-        upper) copy of each base column.
     """
 
     complex: SimplicialComplex
     base_index: np.ndarray
     offset: np.ndarray
-    layer_table: np.ndarray
     field: ScalarField
-    half_width: np.ndarray  # r(v) per base vertex
-
-    @property
-    def width_bound(self):
-        """sup_x r(x); attained at a vertex since r is piecewise linear."""
-        return float(self.half_width.max())
-
-    def base_id(self, thick_index):
-        return int(self.complex.vertex_ids[thick_index])
 
 
 def _staircase_rows(base_rows, lo_layer, hi_layer):
@@ -304,7 +279,6 @@ def _thicken(X, f, r_values):
     offset = np.zeros(3 * n, dtype=np.float64)
     offset[0::3] = -r
     offset[2::3] = r
-    layer_table = np.arange(3 * n, dtype=np.int64).reshape(n, 3)
 
     # coordinates: append the offset axis while it still fits in R^3
     if X.coord_dim <= 2:
@@ -347,9 +321,7 @@ def _thicken(X, f, r_values):
         complex=thick,
         base_index=base_index,
         offset=offset,
-        layer_table=layer_table,
         field=ScalarField(values),
-        half_width=r.copy(),
     )
 
 

@@ -34,7 +34,7 @@ from .measures import (
     ks_distance,
     wasserstein2,
 )
-from .meshes import circle_complex, fig4_measure, three_loop_rig, torus_mesh
+from .meshes import circle_complex, three_loop_rig, torus_mesh
 from .rangecdf import compose_cdf
 from .reeb import reeb_graph
 from .smoothing import SmoothingFactor, smooth_local
@@ -272,6 +272,13 @@ def load_fig4_fixture():
     """The shipped three-loop mesh, its height field and tuned measure."""
     root = files("reebsmooth") / "fixtures"
     X, f = complex_from_dict(json.loads((root / "fig4_mesh.json").read_text()))
+    # The measure is tuned for the rig's two smoothing regimes.  A heavy,
+    # sparse ring of mass just inside loop A (bottom left): much total mass
+    # near A keeps its kernel distance low, while the standoff from A's
+    # vertices keeps its distance-to-measure moderate.  A light, dense chain
+    # of points on loop B (top right): tiny nearest-point distances keep its
+    # distance-to-measure low, while the small total mass leaves its kernel
+    # distance high.
     mu = parse_weighted_points((root / "fig4_measure.csv").read_text())
     if f is None:
         raise ValidationError("fig4 fixture is missing its field")

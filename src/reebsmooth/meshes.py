@@ -117,36 +117,12 @@ def random_complex(rng, n_vertices=12, n_edges=18, n_triangles=6, coord_dim=2):
 
 
 def random_field(rng, X, quantize=None):
-    """Random vertex field; `quantize` snaps values to a grid to force ties."""
+    """Random vertex field in [-1, 1].
+
+    `quantize` rounds values to multiples of 1/quantize to force ties; below 1
+    every value rounds to 0.
+    """
     vals = rng.uniform(-1.0, 1.0, size=X.n_vertices)
     if quantize:
         vals = np.round(vals * quantize) / quantize
     return ScalarField(vals)
-
-
-def fig4_measure():
-    """Weighted points tuned for the three-loop rig's two smoothing regimes.
-
-    A heavy, sparse ring of mass sits just inside loop A (bottom left): lots
-    of total mass near A keeps its kernel distance low, while the standoff
-    from A's vertices keeps its distance-to-measure moderate.  A light, dense
-    chain of points lies on loop B (top right): tiny nearest-point distances
-    keep its distance-to-measure low, while the small total mass leaves its
-    kernel distance high.  Returns an EmpiricalMeasure.
-    """
-    from .measures import EmpiricalMeasure
-
-    r_out = 0.5
-    ang_a = 2.0 * np.pi * 5 / 8
-    ang_b = 2.0 * np.pi / 8
-    center_a = r_out * (1.0 - 0.225 / r_out) * np.array([np.cos(ang_a), np.sin(ang_a)])
-    center_b = r_out * (1.0 - 0.15 / r_out) * np.array([np.cos(ang_b), np.sin(ang_b)])
-
-    n_a, n_b = 8, 16
-    th_a = 2.0 * np.pi * np.arange(n_a) / n_a
-    th_b = 2.0 * np.pi * (np.arange(n_b) + 0.5) / n_b
-    pts_a = center_a + 0.10 * np.stack([np.cos(th_a), np.sin(th_a)], axis=1)
-    pts_b = center_b + 0.15 * np.stack([np.cos(th_b), np.sin(th_b)], axis=1)
-    points = np.concatenate([pts_a, pts_b], axis=0)
-    weights = np.concatenate([np.full(n_a, 0.8 / n_a), np.full(n_b, 0.2 / n_b)])
-    return EmpiricalMeasure(points, weights)

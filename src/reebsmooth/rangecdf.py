@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import ScalarField, SimplicialComplex, VectorField
-from .errors import GuardViolation, ValidationError
+from .complexes import ScalarField, VectorField
+from .errors import ValidationError
 from .measures import ContinuousCDF, cdf_of_measure, ks_distance
 from .reeb import ReebGraph, is_isomorphic, reeb_graph
 
@@ -64,50 +64,14 @@ def coordinatewise_transform(f, F):
     return VectorField(np.stack(cols, axis=1))
 
 
-def _subdivide_at_knots(X, f, F):
-    """Insert edge vertices where the field crosses interior CDF knots.
-
-    Only 1-complexes: subdividing triangle edges would need a compatible
-    refinement of the triangles.  The vertex-level composition already
-    captures plateau collapses exactly, so this is a belt-and-braces option.
-    """
-    if X.dim > 1:
-        raise GuardViolation("knot subdivision only supports 1-complexes")
-    vals = f.values
-    verts = [(int(i), X.coords[idx]) for idx, i in enumerate(X.vertex_ids)]
-    new_vals = list(vals)
-    next_id = int(X.vertex_ids.max()) + 1
-    simplices = []
-    inner = F.knots[1:-1]
-    for u, v in X.simplices.get(1, np.zeros((0, 2), dtype=np.int64)):
-        a, b = float(vals[u]), float(vals[v])
-        lo, hi = min(a, b), max(a, b)
-        cuts = [float(k) for k in inner if lo < k < hi]
-        cuts.sort(key=lambda k: abs(k - a))
-        chain = [int(X.vertex_ids[u])]
-        for k in cuts:
-            s = (k - a) / (b - a)
-            verts.append((next_id, X.coords[u] + s * (X.coords[v] - X.coords[u])))
-            new_vals.append(k)
-            chain.append(next_id)
-            next_id += 1
-        chain.append(int(X.vertex_ids[v]))
-        simplices.extend(zip(chain[:-1], chain[1:]))
-    X2 = SimplicialComplex.build(verts, simplices)
-    return X2, ScalarField(np.asarray(new_vals, dtype=np.float64))
-
-
-def range_integrated_reeb(X, f, measure_or_cdf, subdivide=False):
+def range_integrated_reeb(X, f, measure_or_cdf):
     """Reeb graph of the field pushed through a CDF; returns (graph, cdf).
 
     `measure_or_cdf` is a 1-d empirical measure (its surrogate CDF is built
-    here) or a ready ContinuousCDF.  With subdivide=True, edges of a
-    1-complex are split at interior CDF knots first.
+    here) or a ready ContinuousCDF.
     """
     F = measure_or_cdf if isinstance(measure_or_cdf, ContinuousCDF) else cdf_of_measure(measure_or_cdf)
     f = f if isinstance(f, ScalarField) else ScalarField(np.asarray(f, dtype=np.float64))
-    if subdivide:
-        X, f = _subdivide_at_knots(X, f, F)
     return reeb_graph(X, compose_cdf(f, F)), F
 
 

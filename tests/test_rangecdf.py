@@ -1,12 +1,11 @@
-"""Range integration: CDF composition, invariance, subdivision."""
+"""Range integration: CDF composition, invariance, knot splitting."""
 
 import numpy as np
 import pytest
 
-from reebsmooth.complexes import ScalarField
-from reebsmooth.errors import GuardViolation
+from reebsmooth.complexes import ScalarField, SimplicialComplex
 from reebsmooth.measures import ContinuousCDF, EmpiricalMeasure, cdf_of_measure, ks_distance
-from reebsmooth.meshes import circle_complex, random_field, torus_mesh
+from reebsmooth.meshes import circle_complex, random_complex, random_field, torus_mesh
 from reebsmooth.rangecdf import (
     CoordinatewiseCDF,
     check_monotone_invariance,
@@ -92,22 +91,47 @@ def test_affine_cdf_transforms_node_values_affinely():
     )
 
 
-def test_subdivision_flag_agrees_on_flat_cdf():
-    # plateau-inducing CDF: subdivision inserts the knot crossings explicitly
-    X, f = circle_complex(24)
-    knots = np.array([-1.0, -0.3, 0.3, 1.0])
-    vals = np.array([0.0, 0.5, 0.5, 1.0])  # flat in the middle
-    F = ContinuousCDF(knots, vals)
-    g_plain, _ = range_integrated_reeb(X, f, F, subdivide=False)
-    g_sub, _ = range_integrated_reeb(X, f, F, subdivide=True)
-    assert is_isomorphic(g_plain, g_sub, value_tol=1e-9)
+def _split_at_knots(X, f, knots):
+    """The 1-complex with every edge split where f crosses one of `knots`."""
+    vals = f.values
+    verts = [(int(i), X.coords[idx]) for idx, i in enumerate(X.vertex_ids)]
+    new_vals = list(vals)
+    next_id = int(X.vertex_ids.max()) + 1
+    edges = []
+    for u, v in X.simplices.get(1, ()):
+        a, b = float(vals[u]), float(vals[v])
+        cuts = sorted((k for k in knots if min(a, b) < k < max(a, b)), key=lambda k: abs(k - a))
+        chain = [int(X.vertex_ids[u])]
+        for k in cuts:
+            s = (k - a) / (b - a)
+            verts.append((next_id, X.coords[u] + s * (X.coords[v] - X.coords[u])))
+            new_vals.append(k)
+            chain.append(next_id)
+            next_id += 1
+        chain.append(int(X.vertex_ids[v]))
+        edges.extend(zip(chain[:-1], chain[1:]))
+    return SimplicialComplex.build(verts, edges), ScalarField(np.array(new_vals))
 
 
-def test_subdivision_guard_on_2d_complex():
-    X, f = torus_mesh(6, 6)
-    F = ContinuousCDF(np.array([-4.0, 4.0]), np.array([0.0, 1.0]))
-    with pytest.raises(GuardViolation):
-        range_integrated_reeb(X, f, F, subdivide=True)
+def test_splitting_edges_at_cdf_knots_never_changes_the_graph():
+    # the Reeb graph depends only on the vertex-value preorder, which a
+    # monotone CDF keeps up to ties, so knot vertices inside edges only add
+    # regular points: even flat CDF segments need no subdivision
+    rng = np.random.default_rng(31)
+    for trial in range(120):
+        X = random_complex(rng, n_vertices=10, n_edges=14, n_triangles=0)
+        f = random_field(rng, X, quantize=4 if trial % 3 == 0 else None)
+        knots = np.unique(np.round(rng.uniform(-1.2, 1.2, size=6), 2))
+        if trial % 2 == 0:
+            # knots on the field's value grid, some hitting vertex values
+            knots = np.unique(np.round(knots * 4) / 4)
+        values = np.sort(np.round(rng.uniform(0, 1, size=len(knots)) * 3) / 3)
+        values[0], values[-1] = 0.0, 1.0  # rounding leaves flat segments
+        F = ContinuousCDF(knots, values)
+        X2, f2 = _split_at_knots(X, f, F.knots[1:-1])
+        g_plain, _ = range_integrated_reeb(X, f, F)
+        g_split, _ = range_integrated_reeb(X2, f2, F)
+        assert is_isomorphic(g_plain, g_split, value_tol=0.0)
 
 
 def test_ks_feeds_composed_field_distance():

@@ -107,6 +107,12 @@ def test_edge_monotonicity_and_no_self_loops():
         assert set(g.node_values.tolist()) <= set(f.values.tolist())
 
 
+def _assert_same_graph(g, oracle):
+    # bit for bit on values and edges; node_reps differ by witness convention
+    assert np.array_equal(g.node_values, oracle.node_values)
+    assert np.array_equal(g.edges, oracle.edges)
+
+
 def test_oracle_agreement_random_fields():
     rng = np.random.default_rng(17)
     X1, _ = circle_complex(20)
@@ -114,7 +120,7 @@ def test_oracle_agreement_random_fields():
     for X in (X1, X2):
         for _ in range(10):
             f = random_field(rng, X)
-            assert is_isomorphic(reeb_graph(X, f), slab_oracle(X, f), value_tol=1e-9)
+            _assert_same_graph(reeb_graph(X, f), slab_oracle(X, f))
 
 
 def test_oracle_agreement_with_forced_ties():
@@ -122,8 +128,12 @@ def test_oracle_agreement_with_forced_ties():
     rng = np.random.default_rng(23)
     for _ in range(15):
         X = random_complex(rng)
-        f = random_field(rng, X, quantize=0.25)
-        assert is_isomorphic(reeb_graph(X, f), slab_oracle(X, f), value_tol=1e-9)
+        f = random_field(rng, X, quantize=4)
+        _assert_same_graph(reeb_graph(X, f), slab_oracle(X, f))
+    for trial in range(15):
+        X = random_complex(rng, 14, 24, 8)
+        f = random_field(rng, X, quantize=0.5 if trial % 3 == 0 else None)
+        _assert_same_graph(reeb_graph(X, f), slab_oracle(X, f))
 
 
 def test_is_isomorphic_positive_and_negative():
