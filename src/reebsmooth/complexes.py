@@ -4,11 +4,15 @@ A complex stores an id-sorted vertex table (integer ids, coordinates in R^k,
 k <= 3) and, per dimension, a lexicographically sorted array of simplices as
 vertex-index tuples.  Complexes are closed under taking faces.
 
-Thickening replaces each vertex column by three copies at offsets
-(-r(v), 0, +r(v)) and triangulates every prism with the staircase (Freudenthal
-style, vertex-index ordered) decomposition, which is face-compatible across
-neighbouring simplices because it depends only on the vertex order.  The
-thickened field is f(x) + t, computed as one addition per thickened vertex.
+The staircase thickening is the reference construction of a smoothing's
+domain {(x, t) : |t| <= r(x)}.  It replaces each vertex column by three copies
+at offsets (-r(v), 0, +r(v)) and triangulates every prism with the staircase
+(Freudenthal style, vertex-index ordered) decomposition, which is
+face-compatible across neighbouring simplices because it depends only on the
+vertex order.  The thickened field is f(x) + t, computed as one addition per
+thickened vertex.  Smoothing itself sweeps the base complex instead (see
+`smoothing`) and shares only the input checks, `thickening_inputs` and
+`constant_radii`; the interleaving maps and the tests use the thickening.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ class SimplicialComplex:
         }
         # drop empty dimensions for a canonical shape
         self.simplices = {d: r for d, r in self.simplices.items() if len(r)}
-        self._id_sorter = None
+        self._diameter = None
         if validate:
             self.validate()
 
@@ -172,18 +176,21 @@ class SimplicialComplex:
         return i
 
     def domain_diameter(self):
-        """Exact max pairwise vertex distance (chunked to bound memory)."""
-        pts = self.coords
-        n = len(pts)
-        if n < 2:
-            return 0.0
-        best = 0.0
-        step = max(1, 2_000_000 // max(n, 1))
-        for lo in range(0, n, step):
-            block = pts[lo : lo + step]
-            d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            best = max(best, float(d2.max()))
-        return float(np.sqrt(best))
+        """Exact max pairwise vertex distance (chunked to bound memory).
+
+        Computed once per instance; later calls return the cached value.
+        """
+        if self._diameter is None:
+            pts = self.coords
+            n = len(pts)
+            best = 0.0
+            step = max(1, 2_000_000 // max(n, 1))
+            for lo in range(0, n, step):
+                block = pts[lo : lo + step]
+                d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+                best = max(best, float(d2.max()))
+            self._diameter = float(np.sqrt(best))
+        return self._diameter
 
     # -- validation ----------------------------------------------------------
 
@@ -260,7 +267,13 @@ def _staircase_rows(base_rows, lo_layer, hi_layer):
     return out
 
 
-def _thicken(X, f, r_values):
+def thickening_inputs(X, f, r_values):
+    """Checked (field values, radii) arrays for thickening X by [-r(v), +r(v)].
+
+    Raises ValidationError for a misaligned field, misaligned radii or radii
+    that are not finite and positive, then GuardViolation for a base of
+    dimension above MAX_BASE_DIM_FOR_THICKENING, in that order.
+    """
     f_vals = np.asarray(f.values, dtype=np.float64)
     if len(f_vals) != X.n_vertices:
         raise ValidationError("field misaligned with complex")
@@ -273,7 +286,19 @@ def _thicken(X, f, r_values):
         raise GuardViolation(
             f"thickening needs base dimension <= {MAX_BASE_DIM_FOR_THICKENING}, got {X.dim}"
         )
+    return f_vals, r
 
+
+def constant_radii(X, eps):
+    """The radius eps at every vertex of X; GuardViolation unless eps > 0."""
+    eps = float(eps)
+    if not np.isfinite(eps) or eps <= 0:
+        raise GuardViolation("thickening width eps must be positive")
+    return np.full(X.n_vertices, eps)
+
+
+def _thicken(X, f, r_values):
+    f_vals, r = thickening_inputs(X, f, r_values)
     n = X.n_vertices
     base_index = np.repeat(np.arange(n, dtype=np.int64), 3)
     offset = np.zeros(3 * n, dtype=np.float64)
@@ -327,10 +352,7 @@ def _thicken(X, f, r_values):
 
 def thicken_global(X, f, eps):
     """Thicken X by the constant interval [-eps, +eps]."""
-    eps = float(eps)
-    if not np.isfinite(eps) or eps <= 0:
-        raise GuardViolation("thickening width eps must be positive")
-    return _thicken(X, f, np.full(X.n_vertices, eps))
+    return _thicken(X, f, constant_radii(X, eps))
 
 
 def thicken_local(X, f, r):

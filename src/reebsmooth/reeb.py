@@ -194,20 +194,31 @@ def reeb_graph(X, f):
         values = np.asarray(f, dtype=np.float64)
     if len(values) != X.n_vertices:
         raise ValidationError("field length does not match vertex count")
+    return window_reeb_graph(X, values, values)
 
+
+def window_reeb_graph(X, lo, hi):
+    """Quotient of the sweep in which simplex s is active on [min_s lo, max_s hi].
+
+    lo and hi are per-vertex values; the levels are their distinct values.
+    With lo = hi = f this is the Reeb graph of f.  With lo = f - r and
+    hi = f + r it is the Reeb graph of f + t on the thickening
+    {(x, t) : |t| <= r(x)}: the prism over each base simplex is convex, and
+    f + t is linear on it, so its level and slab slices are convex and
+    nonempty exactly on that window.
+    """
     blocks, first_vertex, pair_a, pair_b = _simplex_enumeration(X)
-    distinct = np.unique(values)
-    vrank = np.searchsorted(distinct, values)
-    rmin = [vrank[b].min(axis=1) for b in blocks]
-    rmax = [vrank[b].max(axis=1) for b in blocks]
-    min_rank = np.concatenate(rmin)
-    max_rank = np.concatenate(rmax)
+    levels = np.unique(lo if hi is lo else np.concatenate([lo, hi]))
+    lo_rank = np.searchsorted(levels, lo)
+    hi_rank = lo_rank if hi is lo else np.searchsorted(levels, hi)
+    min_rank = np.concatenate([lo_rank[b].min(axis=1) for b in blocks])
+    max_rank = np.concatenate([hi_rank[b].max(axis=1) for b in blocks])
 
     node_level, node_rep, arc_bottom, arc_top, arc_rep = sweep_quotient(
-        min_rank, max_rank, pair_a, pair_b, len(distinct)
+        min_rank, max_rank, pair_a, pair_b, len(levels)
     )
     return _finalize(
-        distinct[node_level],
+        levels[node_level],
         X.vertex_ids[first_vertex[node_rep]],
         arc_bottom,
         arc_top,

@@ -1,10 +1,18 @@
-"""Smoothing of PL scalar fields by thickening, and explicit interleaving maps.
+"""Smoothing of PL scalar fields, and explicit interleaving maps.
 
-Global smoothing thickens the domain by a constant radius; local smoothing
-thickens by a per-vertex radius resolved from a smoothing factor (constant,
-distance-to-measure, or kernel-distance).  The interleaving-map builders
-return concrete vertex-level maps whose defining identities can be verified
-numerically: function preservation and homotopy commutativity.
+The smoothing of f by radii r is the Reeb graph of f + t on the thickening
+{(x, t) : |t| <= r(x)}: global smoothing uses a constant radius, local
+smoothing a per-vertex radius resolved from a smoothing factor (constant,
+distance-to-measure, or kernel-distance).  Smoothing never builds that
+thickening.  The staircase prism over a base simplex is convex and f + t is
+linear on it, so each base simplex is active on the window
+[min (f - r), max (f + r)] over its vertices, and the sweep runs on the base
+complex with those windows (`reeb.window_reeb_graph`).  The staircase
+thickening in `complexes` is the reference construction it is tested against.
+
+The interleaving-map builders return concrete vertex-level maps between two
+thickenings whose defining identities can be verified numerically: function
+preservation and homotopy commutativity.
 """
 
 from __future__ import annotations
@@ -13,10 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import ScalarField, SimplicialComplex, VectorField, thicken_global, thicken_local
+from .complexes import (
+    ScalarField,
+    SimplicialComplex,
+    VectorField,
+    constant_radii,
+    thicken_local,
+    thickening_inputs,
+)
+from .complexes import thicken_global  # noqa: F401  unused; traced by perfbench/tracer.py
 from .errors import ValidationError
 from .measures import KernelSpec, _default_floor, dtm_field, kdist_field
-from .reeb import ReebGraph, realize_as_complex, reeb_graph
+from .reeb import ReebGraph, realize_as_complex, window_reeb_graph
+from .reeb import reeb_graph  # noqa: F401  unused; traced by perfbench/tracer.py
 
 
 def clamp_projection(t, r):
@@ -83,15 +100,21 @@ def _coerce_domain(domain, f):
     return domain, f
 
 
+def _smoothed(X, fld, r_values):
+    """Reeb graph of f + t over {|t| <= r}, swept on the base complex X."""
+    f_vals, r = thickening_inputs(X, fld, r_values)
+    # the same float operations as the thickened field f(base) + offset
+    return window_reeb_graph(X, f_vals + (-r), f_vals + r)
+
+
 def smooth_global(domain, f, eps):
-    """Reeb graph of the eps-thickened field (prism construction, radius eps)."""
+    """Reeb graph of the eps-thickened field (constant radius eps)."""
     X, fld = _coerce_domain(domain, f)
-    thick = thicken_global(X, fld, eps)
-    return reeb_graph(thick.complex, thick.field)
+    return _smoothed(X, fld, constant_radii(X, eps))
 
 
 def smooth_local(domain, f, factor, measure=None):
-    """Reeb graph of the locally thickened field.
+    """Reeb graph of the field thickened by per-vertex radii.
 
     `factor` may be a SmoothingFactor, a ScalarField of radii, or a plain
     array of per-vertex radii.
@@ -103,8 +126,7 @@ def smooth_local(domain, f, factor, measure=None):
         r = factor
     else:
         r = ScalarField(np.asarray(factor, dtype=np.float64))
-    thick = thicken_local(X, fld, r)
-    return reeb_graph(thick.complex, thick.field)
+    return _smoothed(X, fld, r.values)
 
 
 # -- interleaving maps ---------------------------------------------------------

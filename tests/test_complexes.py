@@ -179,3 +179,17 @@ def test_random_thickening_invariants(seed, eps):
     base = np.repeat(np.arange(X.n_vertices), 3)
     assert np.all(np.abs(thick.offset) <= eps)
     assert np.array_equal(thick.field.values, f.values[base] + thick.offset)
+
+
+@pytest.mark.parametrize(
+    "n, k", [(1, 1), (1, 3), (2, 2), (60, 1), (60, 2), (60, 3), (1500, 2)]
+)
+def test_domain_diameter_is_exact_and_cached(n, k):
+    # n = 1500 makes the computation run in chunks of rows
+    rng = np.random.default_rng(100 * n + k)
+    pts = rng.normal(size=(n, k))
+    X = SimplicialComplex(np.arange(n), pts, {})
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    first = X.domain_diameter()
+    assert first == float(np.sqrt(d2.max()))
+    assert X.domain_diameter() is first  # the cached object, not a recomputation

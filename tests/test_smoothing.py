@@ -2,12 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reebsmooth.complexes import ScalarField, SimplicialComplex
-from reebsmooth.errors import ValidationError
+from reebsmooth.complexes import ScalarField, SimplicialComplex, thicken_global, thicken_local
+from reebsmooth.errors import GuardViolation, ValidationError
 from reebsmooth.measures import EmpiricalMeasure
-from reebsmooth.meshes import circle_complex, random_field, three_loop_rig, torus_mesh
-from reebsmooth.reeb import is_isomorphic, reeb_graph, slab_oracle
+from reebsmooth.meshes import (
+    circle_complex,
+    random_complex,
+    random_field,
+    three_loop_rig,
+    torus_mesh,
+)
+from reebsmooth.reeb import (
+    ISO_MAX_NODES,
+    is_isomorphic,
+    realize_as_complex,
+    reeb_graph,
+    slab_oracle,
+)
 from reebsmooth.smoothing import (
     SmoothingFactor,
     VertexMap,
@@ -39,8 +52,6 @@ def test_circle_contraction_thresholds():
 def test_circle_smoothing_against_slab_oracle():
     X, f = circle_complex(32)
     for eps in (0.5, 0.9, 1.1):
-        from reebsmooth.complexes import thicken_global
-
         thick = thicken_global(X, f, eps)
         assert is_isomorphic(
             smooth_global(X, f, eps), slab_oracle(thick.complex, thick.field)
@@ -197,3 +208,113 @@ def test_smoothing_factor_validation():
         SmoothingFactor("kernel", -1.0)
     with pytest.raises(ValidationError):
         SmoothingFactor("constant", 1.0, scale=0.0)
+
+
+# -- windowed smoothing against the staircase thickening -----------------------
+
+
+def _edge_value_pairs(g):
+    """(value of lower end, value of upper end) per edge, lexicographically sorted."""
+    pairs = np.stack([g.node_values[g.edges[:, 0]], g.node_values[g.edges[:, 1]]], axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def _assert_matches_thickening(X, got, thick):
+    """`got` equals the Reeb graph of the staircase thickening, bit for bit.
+
+    Node order within a level follows simplex order, which differs between the
+    base and the thickened complex, so edges compare as value pairs.
+    """
+    want = reeb_graph(thick.complex, thick.field)
+    assert got.node_values.tobytes() == want.node_values.tobytes()
+    assert _edge_value_pairs(got).tobytes() == _edge_value_pairs(want).tobytes()
+    if got.n_nodes <= ISO_MAX_NODES:
+        assert is_isomorphic(got, want, value_tol=0)
+    assert np.all(np.isin(got.node_reps, X.vertex_ids))
+
+
+def _random_domain(rng, shape):
+    if shape == "vertices":
+        n = int(rng.integers(1, 9))
+        return random_complex(rng, n, 0, 0)
+    n = int(rng.integers(4, 15))
+    if shape == "sparse":  # few edges: usually disconnected
+        return random_complex(rng, n, n // 3, int(rng.integers(0, 2)))
+    return random_complex(rng, n, int(rng.integers(n, 2 * n + 1)), int(rng.integers(0, n // 2)))
+
+
+def _random_radii(rng, n, kind):
+    if kind == "grid":  # on the field's 0.25 grid: f - r of one vertex hits f + r of another
+        return 0.25 * rng.integers(1, 5, n)
+    return rng.uniform(0.05, 1.0, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["mixed", "sparse", "vertices"]),
+    st.sampled_from(["grid", "uniform"]),
+    st.sampled_from([4, None]),
+)
+def test_windowed_smoothing_matches_staircase_thickening(seed, shape, radii, quantize):
+    rng = np.random.default_rng(seed)
+    X = _random_domain(rng, shape)
+    f = random_field(rng, X, quantize=quantize)
+    r = ScalarField(_random_radii(rng, X.n_vertices, radii))
+    _assert_matches_thickening(X, smooth_local(X, f, r), thicken_local(X, f, r))
+    eps = 0.25 * int(rng.integers(1, 5)) if radii == "grid" else float(r.values[0])
+    _assert_matches_thickening(X, smooth_global(X, f, eps), thicken_global(X, f, eps))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["grid", "uniform"]))
+def test_windowed_smoothing_of_a_reeb_graph_domain(seed, radii):
+    rng = np.random.default_rng(seed)
+    X = _random_domain(rng, "mixed")
+    g = reeb_graph(X, random_field(rng, X, quantize=4))
+    G, values = realize_as_complex(g)
+    r = ScalarField(_random_radii(rng, G.n_vertices, radii))
+    _assert_matches_thickening(G, smooth_local(g, None, r), thicken_local(G, values, r))
+    _assert_matches_thickening(G, smooth_global(g, None, 0.5), thicken_global(G, values, 0.5))
+
+
+def test_windowed_smoothing_on_the_meshes():
+    rng = np.random.default_rng(4)
+    for X, f in (circle_complex(32), three_loop_rig(), torus_mesh(8, 8)):
+        for r in (_random_radii(rng, X.n_vertices, "grid"), np.full(X.n_vertices, 0.3)):
+            r = ScalarField(r)
+            _assert_matches_thickening(X, smooth_local(X, f, r), thicken_local(X, f, r))
+
+
+def test_smoothing_keeps_the_thickening_guards():
+    X3 = SimplicialComplex.build(
+        [(i, (float(i), 0.0, 0.0)) for i in range(4)], [(0, 1, 2, 3)]
+    )
+    f3 = ScalarField(np.zeros(4))
+    with pytest.raises(GuardViolation):
+        smooth_global(X3, f3, 0.5)
+    with pytest.raises(GuardViolation):
+        smooth_local(X3, f3, np.full(4, 0.5))
+    # radii are checked before the dimension guard
+    with pytest.raises(ValidationError):
+        smooth_local(X3, f3, np.full(4, -0.5))
+
+    X, f = circle_complex(6)
+    n = X.n_vertices
+    for bad in (
+        np.full(n, -0.1),
+        np.zeros(n),
+        np.full(n, np.nan),
+        np.full(n, np.inf),
+        np.full(n - 1, 0.5),
+        np.full(n + 1, 0.5),
+    ):
+        with pytest.raises(ValidationError):
+            smooth_local(X, f, bad)
+    with pytest.raises(ValidationError):
+        smooth_local(X, f, ScalarField(np.full(n, -0.1)))
+    for eps in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(GuardViolation):
+            smooth_global(X, f, eps)
+    with pytest.raises(ValidationError):
+        smooth_global(X, ScalarField(f.values[:-1]), 0.5)
