@@ -289,6 +289,15 @@ def interleaving_lower_bound(g1, g2, proxy_factor=DEFAULT_PROXY_FACTOR):
     The bottleneck distance of extended persistence diagrams rises at most a
     fixed factor faster than the interleaving distance, so dividing by that
     factor gives a one-sided bound usable in stability checks.
+
+    The default factor 5 is the Reeb-graph stability theorem of Botnan and
+    Lesnick ("Algebraic stability of zigzag persistence modules", Algebr.
+    Geom. Topol. 18, 2018), a corollary of their algebraic stability
+    theorem for zigzag modules: the bottleneck distance between the extended
+    persistence diagrams of two Reeb graphs is at most 5 times their
+    interleaving distance.  It tightens the earlier bound of Bauer, Munch
+    and Wang through the functional distortion distance.  A smaller factor
+    needs a cited proof, or the bound stops being one-sided.
     """
     d1 = extended_persistence(g1)
     d2 = extended_persistence(g2)

@@ -278,6 +278,8 @@ def empirical_cdf(samples, weights=None):
     cum = np.cumsum(ws)
     cum[-1] = 1.0  # masses are normalized; pin the top against float drift
     lead = xs[0] - (xs[1] - xs[0]) / 2.0
+    # half of a one-ulp subnormal gap rounds to 0; the knots must still rise
+    lead = min(lead, np.nextafter(xs[0], -np.inf))
     knots = np.concatenate([[lead], xs])
     values = np.concatenate([[0.0], cum])
     return ContinuousCDF(knots, values)

@@ -232,23 +232,19 @@ def _finalize(node_values, node_witness, arc_bottom, arc_top):
     down = np.bincount(arc_top, minlength=q) if len(arc_top) else np.zeros(q, int)
     regular = (up == 1) & (down == 1)
 
-    up_arc_of = np.full(q, -1, dtype=np.int64)
-    up_arc_of[arc_bottom] = np.arange(len(arc_bottom), dtype=np.int64)
+    # end[u]: the first non-regular node at or above u along its chain of
+    # regular nodes, found by pointer jumping (chains rise, so they end)
+    end = np.arange(q)
+    up_arc_of = np.empty(q, dtype=np.int64)
+    up_arc_of[arc_bottom] = np.arange(len(arc_bottom))
+    end[regular] = arc_top[up_arc_of[regular]]
+    while np.any(regular[end]):
+        end = end[end]
 
     keep = ~regular
     new_id = np.cumsum(keep) - 1
-
-    lo_list, hi_list = [], []
-    for e in range(len(arc_bottom)):
-        if regular[arc_bottom[e]]:
-            continue  # interior of a chain, consumed by the walk below
-        top = arc_top[e]
-        while regular[top]:
-            top = arc_top[up_arc_of[top]]
-        lo_list.append(new_id[arc_bottom[e]])
-        hi_list.append(new_id[top])
-
-    edges = np.array([lo_list, hi_list], dtype=np.int64).T.reshape(-1, 2)
+    from_kept = keep[arc_bottom]  # arcs from a regular node lie inside a chain
+    edges = np.stack([new_id[arc_bottom[from_kept]], new_id[end[arc_top[from_kept]]]], axis=1)
     if len(edges):
         order = np.lexsort((edges[:, 1], edges[:, 0]))
         edges = edges[order]

@@ -1,8 +1,14 @@
 """Reeb extraction: frozen small cases, oracle agreement, isomorphism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
+from reebsmooth import _core
 from reebsmooth.complexes import ScalarField, SimplicialComplex
 from reebsmooth.errors import GuardViolation
 from reebsmooth.meshes import (
@@ -14,11 +20,13 @@ from reebsmooth.meshes import (
 )
 from reebsmooth.reeb import (
     ReebGraph,
+    _simplex_enumeration,
     is_isomorphic,
     level_components,
     realize_as_complex,
     reeb_graph,
     slab_oracle,
+    sweep_quotient,
 )
 
 
@@ -200,3 +208,166 @@ def test_realize_as_complex_round_trip():
     g = reeb_graph(X, f)
     Xg, fg = realize_as_complex(g)
     assert is_isomorphic(reeb_graph(Xg, fg), g)
+
+
+# -- the per-level sweep, kept as the oracle of the blocked sweep -------------
+
+
+def _canonical_components(active, a_local, b_local):
+    """Labels and representatives for the graph on `active` (ascending).
+
+    Components are numbered by first occurrence in ascending simplex order;
+    reps[q] is the smallest simplex index in component q.
+    """
+    n = len(active)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    graph = coo_matrix(
+        (np.ones(len(a_local), dtype=bool), (a_local, b_local)), shape=(n, n)
+    )
+    _, labels = connected_components(graph, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first), dtype=np.int64)
+    return rank[labels.astype(np.int64)], active[np.sort(first)]
+
+
+def _per_level_sweep(min_rank, max_rank, pair_a, pair_b, n_levels):
+    """The skeleton one level and one slab at a time, two labelings each."""
+    min_rank = np.ascontiguousarray(min_rank, dtype=np.int64)
+    max_rank = np.ascontiguousarray(max_rank, dtype=np.int64)
+    pair_a = np.ascontiguousarray(pair_a, dtype=np.int64)
+    pair_b = np.ascontiguousarray(pair_b, dtype=np.int64)
+    m = len(min_rank)
+    if len(pair_a):
+        plo = np.maximum(min_rank[pair_a], min_rank[pair_b])
+        phi = np.minimum(max_rank[pair_a], max_rank[pair_b])
+    else:
+        plo = np.empty(0, dtype=np.int64)
+        phi = np.empty(0, dtype=np.int64)
+
+    glob = np.full(m, -1, dtype=np.int64)  # node id per simplex at the current level
+    node_level, node_rep = [], []
+    arc_bottom, arc_top, arc_rep = [], [], []
+    pending = []  # arcs from the previous slab waiting for their top node
+    total = 0
+
+    for t in range(n_levels):
+        active = np.where((min_rank <= t) & (max_rank >= t))[0]
+        pm = (plo <= t) & (phi >= t)
+        a_loc = np.searchsorted(active, pair_a[pm])
+        b_loc = np.searchsorted(active, pair_b[pm])
+        labels, reps = _canonical_components(active, a_loc, b_loc)
+        glob[active] = total + labels
+
+        for e in pending:
+            arc_top[e] = int(glob[arc_rep[e]])
+        pending.clear()
+
+        node_level.extend([t] * len(reps))
+        node_rep.extend(int(r) for r in reps)
+        total += len(reps)
+
+        if t + 1 < n_levels:
+            span = active[max_rank[active] >= t + 1]
+            pm2 = pm & (phi >= t + 1)
+            a2 = np.searchsorted(span, pair_a[pm2])
+            b2 = np.searchsorted(span, pair_b[pm2])
+            labels2, reps2 = _canonical_components(span, a2, b2)
+            for r in reps2:
+                arc_bottom.append(int(glob[r]))
+                arc_top.append(-1)
+                arc_rep.append(int(r))
+                pending.append(len(arc_rep) - 1)
+
+    return (
+        np.array(node_level, dtype=np.int64),
+        np.array(node_rep, dtype=np.int64),
+        np.array(arc_bottom, dtype=np.int64),
+        np.array(arc_top, dtype=np.int64),
+        np.array(arc_rep, dtype=np.int64),
+    )
+
+
+def _simplex_windows(X, lo_rank, hi_rank):
+    """Per-simplex windows from per-vertex ranks, as `window_reeb_graph` forms them."""
+    blocks, _, pair_a, pair_b = _simplex_enumeration(X)
+    min_rank = np.concatenate([lo_rank[b].min(axis=1) for b in blocks])
+    max_rank = np.concatenate([hi_rank[b].max(axis=1) for b in blocks])
+    return min_rank, max_rank, pair_a, pair_b
+
+
+COMPLEX_SHAPES = {
+    "mixed": (12, 18, 6),
+    "sparse": (14, 5, 0),  # disconnected, with isolated vertices
+    "vertices": (6, 0, 0),  # no pairs at all
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(COMPLEX_SHAPES)),
+    st.integers(1, 9),
+    st.sampled_from(["zero", "vertex", "simplex"]),
+)
+def test_blocked_sweep_matches_per_level_sweep(seed, shape, n_levels, widths):
+    # zero: every window is one level; vertex: windows formed from per-vertex
+    # ranks as in smoothing; simplex: an independent window per simplex, so
+    # some pairs never have both ends active
+    rng = np.random.default_rng(seed)
+    X = random_complex(rng, *COMPLEX_SHAPES[shape])
+    lo = rng.integers(0, n_levels, size=X.n_vertices)
+    hi = lo if widths == "zero" else np.minimum(lo + rng.integers(0, 4, size=len(lo)), n_levels - 1)
+    args = _simplex_windows(X, lo, hi)
+    if widths == "simplex":
+        start = rng.integers(0, n_levels, size=len(args[0]))
+        stop = np.minimum(start + rng.integers(0, 4, size=len(start)), n_levels - 1)
+        args = (start, stop) + args[2:]
+    expected = _per_level_sweep(*args, n_levels)
+    # block sizes 1, 2 and 7 hand arcs across block boundaries on nearly
+    # every level; the default size covers the production path
+    for block in (1, 2, 7, _core._BLOCK_COPIES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_core, "_BLOCK_COPIES", block)
+            got = sweep_quotient(*args, n_levels)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and np.array_equal(g, e), block
+
+
+def test_blocked_sweep_matches_per_level_sweep_on_a_torus():
+    rng = np.random.default_rng(5)
+    X, _ = torus_mesh(8, 8)
+    for quantize in (None, 4):
+        f = random_field(rng, X, quantize=quantize).values
+        levels = np.unique(f)
+        rank = np.searchsorted(levels, f)
+        args = _simplex_windows(X, rank, rank)
+        expected = _per_level_sweep(*args, len(levels))
+        for g, e in zip(sweep_quotient(*args, len(levels)), expected):
+            assert np.array_equal(g, e)
+
+
+SWEEP_PEAK_MB = 48
+
+
+def test_sweep_memory_follows_the_block_size():
+    # A 48 x 48 random-field torus: 13824 simplices active on some 10.8M
+    # (simplex, level) pairs, so any array over all copies at once would
+    # take 170 MB.  What stays is the pre-splice skeleton itself (some
+    # 380k nodes and arcs, 14 MB of output) and one block at a time.
+    X, _ = torus_mesh(48, 48)
+    f = random_field(np.random.default_rng(0), X).values
+    levels = np.unique(f)
+    rank = np.searchsorted(levels, f)
+    min_rank, max_rank, pair_a, pair_b = _simplex_windows(X, rank, rank)
+    assert (max_rank - min_rank + 1).sum() > 10**7
+    tracemalloc.start()
+    try:
+        out = sweep_quotient(min_rank, max_rank, pair_a, pair_b, len(levels))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out[0]) > 10**5
+    assert peak < SWEEP_PEAK_MB * 2**20
