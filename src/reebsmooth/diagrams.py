@@ -1,11 +1,14 @@
 """Extended persistence of Reeb graphs and the bottleneck distance.
 
-The diagram has three parts: ordinary dim-0 pairs from the upward sweep
-(birth <= death), relative dim-1 pairs from the downward sweep
+The diagram has three parts: ordinary dim-0 pairs of the ascending
+filtration (birth <= death), relative dim-1 pairs of the descending one
 (birth >= death), and extended pairs: one dim-0 point (min, max) per
 connected component plus one dim-1 point (top, bottom) per independent
-loop.  Loop pairings come from the rank function of band subgraphs, whose
-cycle-space dimension is just E - V + C.
+loop.  All three come from one reduction of the extended filtration: the
+ascending filtration of the graph followed by the descending filtration of
+its cone, relative to the graph (Cohen-Steiner, Edelsbrunner and Harer,
+"Extending persistence using Poincare and Lefschetz duality", Found.
+Comput. Math. 9, 2009).  The coned filtration has 2(V + E) + 1 cells.
 
 Bottleneck distances match points only within the same (dim, class) group;
 unmatched points pay half their persistence (distance to the diagonal in
@@ -72,137 +75,59 @@ class PersistenceDiagram:
         )
 
 
-def _merge_sweep(order, values, neighbors):
-    """Elder-rule 0-dim pairs along a sweep; returns (pairs, root_of).
-
-    `order` lists node indices in sweep order; `neighbors[v]` holds nodes
-    adjacent to v that come before it in the sweep.  Components are tracked
-    with a union-find keeping the oldest (earliest-sweep) node as root; a
-    merge kills the younger component at v's value.
-    """
-    parent = {}
-    rank_in_sweep = {v: i for i, v in enumerate(order)}
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    pairs = []
-    for v in order:
-        parent[v] = v
-        for u in neighbors[v]:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            # the component whose root entered the sweep later dies here
-            old, young = (ru, rv) if rank_in_sweep[ru] < rank_in_sweep[rv] else (rv, ru)
-            pairs.append((values[young], values[v]))
-            parent[young] = old
-    return pairs, find
-
-
 def extended_persistence(graph):
-    """Extended persistence diagram of a Reeb graph's value function."""
-    vals = graph.node_values
-    q = graph.n_nodes
-    edges = graph.edges
+    """Extended persistence diagram of a Reeb graph's value function.
 
-    down_nb = {v: [] for v in range(q)}
-    up_nb = {v: [] for v in range(q)}
-    for a, b in edges:
-        down_nb[int(b)].append(int(a))
-        up_nb[int(a)].append(int(b))
-
-    up_order = sorted(range(q), key=lambda v: (vals[v], v))
-    down_order = sorted(range(q), key=lambda v: (-vals[v], v))
-
-    points = []
-    ordinary, find_up = _merge_sweep(up_order, vals, down_nb)
-    for birth, death in ordinary:
-        if birth != death:
-            points.append(DiagramPoint(float(birth), float(death), 0, "ordinary"))
-    relative, _ = _merge_sweep(down_order, vals, up_nb)
-    for birth, death in relative:
-        if birth != death:
-            points.append(DiagramPoint(float(birth), float(death), 1, "relative"))
-
-    # essential dim-0: value span of each connected component
-    comp_min = {}
-    comp_max = {}
-    for v in range(q):
-        root = find_up(v)
-        comp_min[root] = min(comp_min.get(root, np.inf), vals[v])
-        comp_max[root] = max(comp_max.get(root, -np.inf), vals[v])
-    for root in sorted(comp_min):
-        points.append(DiagramPoint(float(comp_min[root]), float(comp_max[root]), 0, "extended"))
-
-    points.extend(_essential_loops(vals, edges, q))
-    return PersistenceDiagram(tuple(points))
-
-
-def _cycle_rank(vals, edges, lo, hi):
-    """dim of the cycle space of the subgraph of edges inside [lo, hi]."""
-    keep = [(int(a), int(b)) for a, b in edges if vals[a] >= lo and vals[b] <= hi]
-    if not keep:
-        return 0
-    nodes = {v for e in keep for v in e}
-    parent = {v: v for v in nodes}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    n_comp = len(nodes)
-    for a, b in keep:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            n_comp -= 1
-    return len(keep) - len(nodes) + n_comp
-
-
-def _essential_loops(vals, edges, q):
-    """Extended dim-1 points (top, bottom) by inclusion-exclusion on band ranks.
-
-    The number of loop classes with top <= b and bottom >= d equals the cycle
-    rank of the band subgraph of edges lying inside [d, b], so point
-    multiplicities fall out of second differences over the grid of node values.
+    One Z/2 column reduction of the coned extended filtration.  The cone
+    vertex w comes first.  The ascending half follows: nodes by (value,
+    index), each edge at its upper value right after its upper node.  Then
+    the descending half: cone edges wv by (-value, index), each cone triangle
+    we at its lower value right after wa.  A column is an int bitset over
+    cell positions, so adding one column to another is one XOR.
     """
-    if len(edges) == 0:
-        return []
-    distinct = np.unique(vals)
-    k = len(distinct)
-    rank = {}
+    vals = graph.node_values.tolist()
+    edges = graph.edges.tolist()
+    by_upper = [[] for _ in vals]
+    by_lower = [[] for _ in vals]
+    for i, (a, b) in enumerate(edges):
+        by_upper[b].append(i)
+        by_lower[a].append(i)
 
-    def r(bi, di):
-        # bi, di index into distinct values; out-of-range means empty band
-        if bi < 0 or di >= k:
-            return 0
-        key = (bi, di)
-        if key not in rank:
-            rank[key] = _cycle_rank(vals, edges, distinct[di], distinct[bi])
-        return rank[key]
+    value, dim, column = [None], [0], [0]  # the cone vertex w has no boundary
 
+    def cell(val, d, faces):
+        value.append(val)
+        dim.append(d)
+        column.append(sum(1 << f for f in faces))
+        return len(column) - 1
+
+    node_cell, edge_cell, cone_cell = [0] * len(vals), [0] * len(edges), [0] * len(vals)
+    for v in sorted(range(len(vals)), key=lambda v: (vals[v], v)):
+        node_cell[v] = cell(vals[v], 0, ())
+        for i in by_upper[v]:
+            a, b = edges[i]
+            edge_cell[i] = cell(vals[v], 1, (node_cell[a], node_cell[b]))
+    n_up = len(column)
+    for v in sorted(range(len(vals)), key=lambda v: (-vals[v], v)):
+        cone_cell[v] = cell(vals[v], 1, (0, node_cell[v]))
+        for i in by_lower[v]:
+            a, b = edges[i]
+            cell(vals[v], 2, (edge_cell[i], cone_cell[a], cone_cell[b]))
+
+    # a pair inside the ascending half is ordinary, inside the cone relative,
+    # and across the two extended; its dim is the dim of the creating cell
+    reduced = {}
     points = []
-    for bi in range(k):
-        for di in range(bi + 1):
-            mult = r(bi, di) - r(bi - 1, di) - r(bi, di + 1) + r(bi - 1, di + 1)
-            if mult < 0:
-                raise ValidationError("negative loop multiplicity; graph is inconsistent")
-            for _ in range(mult):
-                points.append(
-                    DiagramPoint(float(distinct[bi]), float(distinct[di]), 1, "extended")
-                )
-    total = r(k - 1, 0)
-    if len(points) != total:
-        raise ValidationError("loop pairing did not exhaust the cycle space")
-    return points
+    for j, col in enumerate(column):
+        while col and (low := col.bit_length() - 1) in reduced:
+            col ^= reduced[low]
+        if not col:
+            continue
+        reduced[low] = col
+        cls = "ordinary" if j < n_up else "relative" if low >= n_up else "extended"
+        if cls == "extended" or value[low] != value[j]:
+            points.append(DiagramPoint(float(value[low]), float(value[j]), dim[low], cls))
+    return PersistenceDiagram(tuple(points))
 
 
 # -- bottleneck ----------------------------------------------------------------

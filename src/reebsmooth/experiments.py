@@ -15,6 +15,8 @@ reports which loops survive under the dtm factor versus the kernel factor.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -69,6 +71,11 @@ def _mesh(name):
     return _MESH_CACHE[name]
 
 
+def _finite(x, kind=numbers.Real):
+    """A finite number of the given kind; bools do not count."""
+    return isinstance(x, kind) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs for run_stability. Defaults match the acceptance runs."""
@@ -89,14 +96,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}")
-        if self.trials < 1:
-            raise ValidationError("trials must be positive")
-        if not (0 < self.mass <= 1):
+        if not (_finite(self.trials, numbers.Integral) and self.trials >= 1):
+            raise ValidationError("trials must be a positive integer")
+        if not (_finite(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValidationError("seed must be a non-negative integer")
+        if not (_finite(self.mass) and 0 < self.mass <= 1):
             raise ValidationError("mass must lie in (0, 1]")
-        if self.support < 2 or self.support > 32:
-            raise ValidationError("support size must lie in [2, 32]")
-        import os.path
-
+        if not (_finite(self.support, numbers.Integral) and 2 <= self.support <= 32):
+            raise ValidationError("support size must be an integer in [2, 32]")
+        if not (_finite(self.jitter) and self.jitter >= 0):
+            raise ValidationError("jitter must be finite and non-negative")
+        # a non-positive factor would flip the sign of the lower bound
+        if not (_finite(self.proxy_factor) and self.proxy_factor > 0):
+            raise ValidationError("proxy_factor must be finite and positive")
+        # an infinite tolerance would pass every trial
+        if not (_finite(self.tolerance) and self.tolerance >= 0):
+            raise ValidationError("tolerance must be finite and non-negative")
         unknown = [
             m for m in self.meshes if m not in _MESH_BUILDERS and not os.path.exists(m)
         ]

@@ -188,6 +188,32 @@ def test_cli_config_json_form(tmp_path):
     assert len(json.loads(out.read_text())["trials"]) == 2
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "proxy_factor = 0",
+        "proxy_factor = -1",
+        "proxy_factor = Infinity",
+        "jitter = -0.1",
+        "jitter = NaN",
+        "support = 3.5",
+        "trials = 2.5",
+        "trials = true",
+        "seed = 2.5",
+        "seed = -1",
+        'mass = "half"',
+        "tolerance = Infinity",
+        "tolerance = -1",
+    ],
+)
+def test_cli_stability_rejects_invalid_config_values(tmp_path, line):
+    out = tmp_path / "report.json"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"trials = 1\nmeshes = [\"circle\"]\n{line}\n")
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_cli_fig4_report_and_dot(tmp_path):
     out = tmp_path / "fig4.json"
     rc = main(["fig4", "--scales", "0.5,2.25", "--out", str(out), "--dot", str(tmp_path / "f4")])
