@@ -1,8 +1,12 @@
 """Simplicial complexes with piecewise-linear vertex fields, and prism thickenings.
 
 A complex stores an id-sorted vertex table (integer ids, coordinates in R^k,
-k <= 3) and, per dimension, a lexicographically sorted array of simplices as
-vertex-index tuples.  Complexes are closed under taking faces.
+k <= 3) and, per dimension, an array of simplices as vertex-index rows, each
+row ascending and the rows strictly increasing in lexicographic order.
+Complexes are closed under taking faces.  Validation checks all of this with
+whole-array operations.  Its closure check looks every codim-1 face up one
+dimension down, and the positions it finds are the complex's incidence table
+(`SimplicialComplex.face_table`), which the sweeps in `reeb` read.
 
 The staircase thickening is the reference construction of a smoothing's
 domain {(x, t) : |t| <= r(x)}.  It replaces each vertex column by three copies
@@ -12,13 +16,13 @@ face-compatible across neighbouring simplices because it depends only on the
 vertex order.  The thickened field is f(x) + t, computed as one addition per
 thickened vertex.  Smoothing itself sweeps the base complex instead (see
 `smoothing`) and shares only the input checks, `thickening_inputs` and
-`constant_radii`; the interleaving maps and the tests use the thickening.
+`constant_radii`; the interleaving maps read only the three-layer vertex
+table (`thickened_vertices`), and the tests use the triangulated thickening.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -75,7 +79,44 @@ def _as_index_rows(simplices, dim):
     arr = np.asarray(simplices, dtype=np.int64)
     if arr.size == 0:
         return np.empty((0, dim + 1), dtype=np.int64)
-    return arr.reshape(-1, dim + 1)
+    return arr
+
+
+def _row_keys(rows):
+    """One opaque key per row that compares like the row in lex order.
+
+    Rows are nonnegative int64, so the big-endian byte view makes memcmp agree
+    with numeric lexicographic order.
+    """
+    w = rows.shape[1]
+    return np.ascontiguousarray(rows.astype(">i8")).view(f"V{8 * w}").ravel()
+
+
+def _faces(rows):
+    """Codim-1 faces of index rows, in "drop column p" order.
+
+    Block p of the result (rows p*m .. (p+1)*m - 1) is `rows` with column p
+    deleted, so face p*m + i belongs to row i.
+    """
+    return np.concatenate([np.delete(rows, p, axis=1) for p in range(rows.shape[1])])
+
+
+def _close(by_dim):
+    """Close ascending index rows under faces: dim -> lex-sorted unique rows.
+
+    Runs top down, so each dimension is deduplicated once, together with the
+    faces of the dimension above.
+    """
+    closed = {}
+    faces = None
+    for d in range(max(by_dim, default=0), 0, -1):
+        chunks = [c for c in (by_dim.get(d), faces) if c is not None]
+        if chunks:
+            rows = np.concatenate(chunks)
+            _, first = np.unique(_row_keys(rows), return_index=True)
+            closed[d] = rows[first]
+            faces = _faces(closed[d])
+    return closed
 
 
 class SimplicialComplex:
@@ -85,12 +126,20 @@ class SimplicialComplex:
     ----------
     vertex_ids : (n,) int array, strictly increasing (use `build` for raw input)
     coords : (n, k) float array, 1 <= k <= 3
-    simplices : dict dim -> (m, dim+1) int array of vertex *indices*, rows
-        sorted ascending within each row and lexicographically across rows.
-        Dimension 0 is implied by the vertex table and must not be passed.
+    simplices : dict dim -> (m, dim+1) int array of vertex *indices*, each
+        row ascending and the rows strictly increasing in lexicographic order
+        (both checked).  Dimension 0 is implied by the vertex table and must
+        not be passed.
+
+    Construction validates the complex and sets `face_table`, the global
+    simplex enumeration (vertices first, then dimensions 1, 2, 3, each in row
+    order) as a tuple (blocks, first_vertex, pair_a, pair_b): the per-dimension
+    index-row arrays, the smallest vertex index of each global simplex, and
+    every (cofacet, facet) incidence as global indices, per dimension in
+    "drop column p" order.
     """
 
-    def __init__(self, vertex_ids, coords, simplices, validate=True):
+    def __init__(self, vertex_ids, coords, simplices):
         self.vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim == 1:
@@ -102,8 +151,7 @@ class SimplicialComplex:
         # drop empty dimensions for a canonical shape
         self.simplices = {d: r for d, r in self.simplices.items() if len(r)}
         self._diameter = None
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- construction ------------------------------------------------------
 
@@ -117,36 +165,42 @@ class SimplicialComplex:
         items = list(vertices)
         if not items:
             raise ValidationError("complex needs at least one vertex")
-        ids = np.array([int(i) for i, _ in items], dtype=np.int64)
+        try:
+            ids = np.array([int(i) for i, _ in items], dtype=np.int64)
+        except OverflowError:
+            raise ValidationError("vertex ids must fit in 64 bits") from None
         if len(np.unique(ids)) != len(ids):
             raise ValidationError("duplicate vertex ids")
         order = np.argsort(ids)
         ids = ids[order]
         coords = np.asarray([np.atleast_1d(items[i][1]) for i in order], dtype=np.float64)
-        id_to_index = {int(v): i for i, v in enumerate(ids)}
-
-        by_dim = {}
+        by_size = {}
         for simplex in simplices:
+            simplex = tuple(simplex)
+            by_size.setdefault(len(simplex), []).append(simplex)
+        by_dim = {}
+        for size, given in sorted(by_size.items()):
+            if size == 0:
+                continue
             try:
-                tup = tuple(sorted(id_to_index[int(v)] for v in simplex))
-            except KeyError as exc:
-                raise ValidationError(f"simplex references unknown vertex id {exc}") from None
-            if len(set(tup)) != len(tup):
-                raise ValidationError(f"degenerate simplex (repeated vertex): {tuple(simplex)}")
-            d = len(tup) - 1
+                raw = np.array(given, dtype=np.int64)
+            except OverflowError:
+                raise ValidationError("simplex references an unknown vertex id") from None
+            rows = np.searchsorted(ids, raw)
+            unknown = ids[np.minimum(rows, len(ids) - 1)] != raw
+            if np.any(unknown):
+                raise ValidationError(f"simplex references unknown vertex id {raw[unknown][0]}")
+            rows.sort(axis=1)
+            repeated = np.any(rows[:, 1:] == rows[:, :-1], axis=1)
+            if np.any(repeated):
+                bad = given[int(np.argmax(repeated))]
+                raise ValidationError(f"degenerate simplex (repeated vertex): {bad}")
+            d = size - 1
             if d > MAX_COMPLEX_DIM:
                 raise ValidationError(f"simplex dimension {d} exceeds maximum {MAX_COMPLEX_DIM}")
-            for k in range(1, d + 1):
-                bucket = by_dim.setdefault(k, set())
-                if k == d:
-                    bucket.add(tup)
-                else:
-                    bucket.update(combinations(tup, k + 1))
-        out = {}
-        for d, bucket in by_dim.items():
-            rows = np.array(sorted(bucket), dtype=np.int64)
-            out[d] = rows
-        return cls(ids, coords, out)
+            if d > 0:
+                by_dim[d] = rows
+        return cls(ids, coords, _close(by_dim))
 
     # -- basic properties ----------------------------------------------------
 
@@ -195,6 +249,7 @@ class SimplicialComplex:
     # -- validation ----------------------------------------------------------
 
     def validate(self):
+        """Check every invariant in the class docstring, then set `face_table`."""
         ids = self.vertex_ids
         if ids.ndim != 1 or len(ids) == 0:
             raise ValidationError("complex needs at least one vertex")
@@ -207,33 +262,47 @@ class SimplicialComplex:
         if not np.all(np.isfinite(self.coords)):
             raise ValidationError("coordinates must be finite")
         n = len(ids)
-        seen = {}
         for d, rows in sorted(self.simplices.items()):
             if d < 1 or d > MAX_COMPLEX_DIM:
                 raise ValidationError(f"bad simplex dimension {d}")
-            if rows.shape[1] != d + 1:
+            if rows.ndim != 2 or rows.shape[1] != d + 1:
                 raise ValidationError(f"dimension-{d} rows must have {d + 1} vertices")
-            if len(rows) == 0:
-                continue
             if rows.min() < 0 or rows.max() >= n:
                 raise ValidationError("simplex references a missing vertex")
             if np.any(np.diff(rows, axis=1) <= 0):
                 raise ValidationError("simplex tuples must be sorted ascending, no repeats")
-            keys = [tuple(r) for r in rows]
-            if len(set(keys)) != len(keys):
+            # each row minus the one before it, read at its first nonzero column
+            step = np.diff(rows, axis=0)
+            lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+            if np.any(lead == 0):
                 raise ValidationError(f"duplicate dimension-{d} simplices")
-            seen[d] = set(keys)
-        # closure: every codim-1 face must be present
-        for d, keys in sorted(seen.items(), reverse=True):
-            if d == 1:
-                continue
-            lower = seen.get(d - 1, set())
-            for key in keys:
-                for face in combinations(key, d):
-                    if face not in lower:
-                        raise ValidationError(
-                            f"complex not closed: face {face} of {key} missing"
-                        )
+            if np.any(lead < 0):
+                raise ValidationError(f"dimension-{d} rows must increase in lexicographic order")
+        # closure: every codim-1 face is a row one dimension down; where each
+        # face sits there is the incidence table
+        blocks = [np.arange(n, dtype=np.int64)[:, None]]
+        for d in range(1, self.dim + 1):
+            blocks.append(self.simplices.get(d, np.empty((0, d + 1), dtype=np.int64)))
+        offsets = np.cumsum([0] + [len(b) for b in blocks])
+        pair_a = [np.empty(0, dtype=np.int64)]
+        pair_b = [np.empty(0, dtype=np.int64)]
+        for i in range(1, len(blocks)):
+            rows, faces = blocks[i], _faces(blocks[i])
+            table, wanted = _row_keys(blocks[i - 1]), _row_keys(faces)
+            pos = np.searchsorted(table, wanted)
+            found = pos < len(table)
+            found[found] = table[pos[found]] == wanted[found]
+            if not np.all(found):
+                j = int(np.argmin(found))
+                raise ValidationError(
+                    f"complex not closed: face {tuple(faces[j].tolist())} of "
+                    f"{tuple(rows[j % len(rows)].tolist())} missing"
+                )
+            pair_a.append(np.tile(np.arange(offsets[i], offsets[i + 1]), i + 1))
+            pair_b.append(offsets[i - 1] + pos)
+        first_vertex = np.concatenate([b[:, 0] for b in blocks])
+        pair_a, pair_b = np.concatenate(pair_a), np.concatenate(pair_b)
+        self.face_table = (blocks, first_vertex, pair_a, pair_b)
         return True
 
 
@@ -297,51 +366,37 @@ def constant_radii(X, eps):
     return np.full(X.n_vertices, eps)
 
 
-def _thicken(X, f, r_values):
+def thickened_vertices(X, f, r_values):
+    """Checked three-layer vertex table of the thickening of X by [-r(v), +r(v)].
+
+    Thickened vertex 3 i + layer lies over base vertex i at offset -r(i), 0 or
+    +r(i) (layer 0, 1, 2).  Returns (base_index, offset, values) with values
+    = f(base) + offset, one addition per thickened vertex.  The checks are
+    those of `thickening_inputs`.
+    """
     f_vals, r = thickening_inputs(X, f, r_values)
-    n = X.n_vertices
-    base_index = np.repeat(np.arange(n, dtype=np.int64), 3)
-    offset = np.zeros(3 * n, dtype=np.float64)
+    base_index = np.repeat(np.arange(X.n_vertices, dtype=np.int64), 3)
+    offset = np.zeros(3 * X.n_vertices, dtype=np.float64)
     offset[0::3] = -r
     offset[2::3] = r
+    return base_index, offset, f_vals[base_index] + offset
 
+
+def _thicken(X, f, r_values):
+    base_index, offset, values = thickened_vertices(X, f, r_values)
     # coordinates: append the offset axis while it still fits in R^3
+    coords = np.repeat(X.coords, 3, axis=0)
     if X.coord_dim <= 2:
-        coords = np.concatenate(
-            [np.repeat(X.coords, 3, axis=0), offset[:, None]], axis=1
-        )
-    else:
-        coords = np.repeat(X.coords, 3, axis=0)
+        coords = np.concatenate([coords, offset[:, None]], axis=1)
 
-    new_ids = np.arange(3 * n, dtype=np.int64)
-
-    top_rows = []
-    vertex_rows = np.arange(n, dtype=np.int64)[:, None]
+    top = {}
+    vertex_rows = np.arange(X.n_vertices, dtype=np.int64)[:, None]
     for rows in [vertex_rows] + [X.simplices[d] for d in sorted(X.simplices)]:
-        top_rows.extend(_staircase_rows(rows, 0, 1))  # lower prism
-        top_rows.extend(_staircase_rows(rows, 1, 2))  # upper prism
-
-    by_dim = {}
-    for rows in top_rows:
-        by_dim.setdefault(rows.shape[1] - 1, []).append(rows)
-    closed = {}
-    for d, chunks in by_dim.items():
-        rows = np.concatenate(chunks, axis=0)
-        # close under faces by explicit column deletion
-        while True:
-            rows = np.unique(rows, axis=0)
-            existing = closed.get(d)
-            closed[d] = rows if existing is None else np.unique(
-                np.concatenate([existing, rows], axis=0), axis=0
-            )
-            if d == 1:
-                break
-            faces = [np.delete(rows, p, axis=1) for p in range(d + 1)]
-            rows = np.concatenate(faces, axis=0)
-            d -= 1
-
-    thick = SimplicialComplex(new_ids, coords, closed)
-    values = f_vals[base_index] + offset
+        # lower prism, then upper prism
+        for prism in _staircase_rows(rows, 0, 1) + _staircase_rows(rows, 1, 2):
+            top.setdefault(prism.shape[1] - 1, []).append(prism)
+    closed = _close({d: np.concatenate(chunks) for d, chunks in top.items()})
+    thick = SimplicialComplex(np.arange(3 * X.n_vertices, dtype=np.int64), coords, closed)
     return ThickenedComplex(
         complex=thick,
         base_index=base_index,

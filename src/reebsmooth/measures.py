@@ -196,14 +196,11 @@ def wasserstein2(mu, nu):
         )
     cost = ((mu.points[:, None, :] - nu.points[None, :, :]) ** 2).sum(axis=2)
     # marginal constraints; drop one redundant row to keep the system full rank
-    a_eq = np.zeros((n + k - 1, n * k))
-    rhs = np.zeros(n + k - 1)
-    for i in range(n):
-        a_eq[i, i * k : (i + 1) * k] = 1.0
-        rhs[i] = mu.weights[i]
-    for j in range(k - 1):
-        a_eq[n + j, j::k] = 1.0
-        rhs[n + j] = nu.weights[j]
+    # (the plan is row-major: variable i * k + j moves mass from mu_i to nu_j)
+    a_eq = np.concatenate(
+        [np.kron(np.eye(n), np.ones((1, k))), np.kron(np.ones((1, n)), np.eye(k))[:-1]]
+    )
+    rhs = np.concatenate([mu.weights, nu.weights[:-1]])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=rhs, bounds=(0, None), method="highs")
     if not res.success:
         raise GuardViolation(f"transport LP failed: {res.message}")

@@ -116,69 +116,6 @@ class ReebGraph:
         return cls(vals, reps, edges)
 
 
-# -- simplex enumeration -----------------------------------------------------
-
-
-def _row_positions(table, queries):
-    """Positions of each query row inside a lex-sorted row table.
-
-    Rows are nonnegative int64, so the big-endian byte view makes memcmp agree
-    with numeric lexicographic order.
-    """
-    w = table.shape[1]
-    tv = np.ascontiguousarray(table.astype(">i8")).view(f"V{8 * w}").ravel()
-    qv = np.ascontiguousarray(queries.astype(">i8")).view(f"V{8 * w}").ravel()
-    pos = np.searchsorted(tv, qv)
-    if len(qv):
-        bad = (pos >= len(tv)) | (tv[np.minimum(pos, len(tv) - 1)] != qv)
-        if np.any(bad):
-            raise ValidationError("complex is not closed under faces")
-    return pos.astype(np.int64)
-
-
-def _simplex_enumeration(X):
-    """Global simplex tables of a complex, cached on the instance.
-
-    Returns (blocks, first_vertex, pair_a, pair_b) where blocks is the list of
-    per-dimension index-row arrays (vertices first), first_vertex maps each
-    global simplex index to its smallest vertex index, and the pair arrays
-    list every (cofacet, facet) incidence as global indices.
-    """
-    cached = getattr(X, "_enum_cache", None)
-    if cached is not None:
-        return cached
-
-    blocks = [np.arange(X.n_vertices, dtype=np.int64)[:, None]]
-    for d in sorted(X.simplices):
-        blocks.append(X.simplices[d])
-    offsets = np.cumsum([0] + [len(b) for b in blocks])
-
-    first_vertex = np.concatenate([b[:, 0] for b in blocks])
-
-    pa, pb = [], []
-    for i in range(1, len(blocks)):
-        rows = blocks[i]
-        below = blocks[i - 1]
-        d = rows.shape[1] - 1
-        own = offsets[i] + np.arange(len(rows), dtype=np.int64)
-        for p in range(d + 1):
-            face_pos = _row_positions(below, np.delete(rows, p, axis=1))
-            pa.append(own)
-            pb.append(offsets[i - 1] + face_pos)
-    pair_a = np.concatenate(pa) if pa else np.empty(0, dtype=np.int64)
-    pair_b = np.concatenate(pb) if pb else np.empty(0, dtype=np.int64)
-
-    cache = (blocks, first_vertex, pair_a, pair_b)
-    X._enum_cache = cache
-    return cache
-
-
-def _value_extents(blocks, values):
-    vmin = [values[b].min(axis=1) for b in blocks]
-    vmax = [values[b].max(axis=1) for b in blocks]
-    return np.concatenate(vmin), np.concatenate(vmax)
-
-
 # -- construction -------------------------------------------------------------
 
 
@@ -207,7 +144,7 @@ def window_reeb_graph(X, lo, hi):
     f + t is linear on it, so its level and slab slices are convex and
     nonempty exactly on that window.
     """
-    blocks, first_vertex, pair_a, pair_b = _simplex_enumeration(X)
+    blocks, first_vertex, pair_a, pair_b = X.face_table
     levels = np.unique(lo if hi is lo else np.concatenate([lo, hi]))
     lo_rank = np.searchsorted(levels, lo)
     hi_rank = lo_rank if hi is lo else np.searchsorted(levels, hi)
@@ -254,6 +191,12 @@ def _finalize(node_values, node_witness, arc_bottom, arc_top):
 # -- direct level-set components ----------------------------------------------
 
 
+def _value_extents(blocks, values):
+    vmin = [values[b].min(axis=1) for b in blocks]
+    vmax = [values[b].max(axis=1) for b in blocks]
+    return np.concatenate(vmin), np.concatenate(vmax)
+
+
 def level_components(X, f, c):
     """Connected components of the level set {f = c}, straight from simplices.
 
@@ -262,7 +205,7 @@ def level_components(X, f, c):
     Independent of the sweep: one value, one connectivity pass.
     """
     values = f.values if isinstance(f, ScalarField) else np.asarray(f, np.float64)
-    blocks, _, pair_a, pair_b = _simplex_enumeration(X)
+    blocks, _, pair_a, pair_b = X.face_table
     vmin, vmax = _value_extents(blocks, values)
     c = float(c)
     active = np.where((vmin <= c) & (vmax >= c))[0]

@@ -26,10 +26,10 @@ from .complexes import (
     SimplicialComplex,
     VectorField,
     constant_radii,
-    thicken_local,
+    thickened_vertices,
     thickening_inputs,
 )
-from .complexes import thicken_global  # noqa: F401  unused; traced by perfbench/tracer.py
+from .complexes import thicken_global, thicken_local  # noqa: F401  unused; traced by perfbench/tracer.py
 from .errors import ValidationError
 from .measures import KernelSpec, _default_floor, dtm_field, kdist_field
 from .reeb import ReebGraph, realize_as_complex, window_reeb_graph
@@ -174,9 +174,7 @@ def _field_matrix(f):
     return arr[:, None] if arr.ndim == 1 else arr
 
 
-def _local_direction(thick, r_target):
-    base = thick.base_index
-    t = thick.offset
+def _local_direction(base, t, r_target):
     tau = clamp_projection(t, r_target[base])
     return VertexMap(base, t, tau, t - tau)
 
@@ -185,7 +183,8 @@ def build_local_interleaving(X, f, r1, r2):
     """Maps between the r1- and r2-thickenings of (X, f).
 
     phi sends a thickened vertex (x, t) to ((x, clamp(t, r2(x))), t - clamp).
-    The residual never exceeds eps = max_x |r1(x) - r2(x)|.
+    The residual never exceeds eps = max_x |r1(x) - r2(x)|.  Only the
+    thickenings' vertex tables are built, never their triangulations.
     """
     f = f if isinstance(f, ScalarField) else ScalarField(np.asarray(f, dtype=np.float64))
     r1 = r1 if isinstance(r1, ScalarField) else ScalarField(np.asarray(r1, dtype=np.float64))
@@ -196,10 +195,10 @@ def build_local_interleaving(X, f, r1, r2):
         if np.any(r.values <= 0):
             raise ValidationError("radii must be strictly positive")
     eps = float(np.abs(r1.values - r2.values).max())
-    t1 = thicken_local(X, f, r1)
-    t2 = thicken_local(X, f, r2)
-    fwd = _local_direction(t1, r2.values)
-    bwd = _local_direction(t2, r1.values)
+    base1, t1, field1 = thickened_vertices(X, f, r1.values)
+    base2, t2, field2 = thickened_vertices(X, f, r2.values)
+    fwd = _local_direction(base1, t1, r2.values)
+    bwd = _local_direction(base2, t2, r1.values)
     for vm in (fwd, bwd):
         if np.abs(vm.residual).max() > eps + 1e-12:
             raise ValidationError("residual exceeded the interleaving bound")
@@ -209,7 +208,7 @@ def build_local_interleaving(X, f, r1, r2):
         forward=fwd,
         backward=bwd,
         base=X,
-        context={"f": f, "r1": r1, "r2": r2, "thick1": t1, "thick2": t2},
+        context={"f": f, "r1": r1, "r2": r2, "field1": field1, "field2": field2},
     )
 
 
@@ -257,11 +256,10 @@ def verify_function_preservation(pair, tol=1e-12):
         f = pair.context["f"].values
         worst = 0.0
         n = 0
-        for vm, thick in (
-            (pair.forward, pair.context["thick1"]),
-            (pair.backward, pair.context["thick2"]),
+        for vm, source in (
+            (pair.forward, pair.context["field1"]),
+            (pair.backward, pair.context["field2"]),
         ):
-            source = thick.field.values
             target = f[vm.base] + vm.target_offset
             worst = max(worst, float(np.abs(target + vm.residual - source).max()))
             n += len(source)

@@ -5,6 +5,8 @@ so the small cases are checked against hand enumerations and an independent
 boundary-extraction oracle rather than against the implementation itself.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from reebsmooth.complexes import (
 )
 from reebsmooth.errors import GuardViolation, ValidationError
 from reebsmooth.meshes import circle_complex, random_complex, random_field, torus_mesh
+from reebsmooth.reeb import reeb_graph
 
 
 def _closure_holds(X):
@@ -54,6 +57,163 @@ def test_torus_mesh_is_closed_complex():
 def test_build_rejects_out_of_range_vertex():
     with pytest.raises(ValidationError):
         SimplicialComplex.build([(0, (0.0,)), (1, (1.0,))], [(0, 3)])
+
+
+SQUARE_IDS = np.arange(4)
+SQUARE_COORDS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+SQUARE_EDGES = [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]]
+
+
+def test_validate_rejects_rows_out_of_lex_order():
+    # closed, but the edge rows are not lex sorted: the face lookup assumes
+    # they are, so validate must refuse the complex rather than let a sweep
+    # report it as not closed
+    simplices = {1: [[1, 2], [0, 1], [0, 2], [1, 3], [2, 3]], 2: [[1, 2, 3], [0, 1, 2]]}
+    with pytest.raises(ValidationError, match="lexicographic"):
+        SimplicialComplex(SQUARE_IDS, SQUARE_COORDS, simplices)
+    # the same complex with sorted rows is accepted and sweeps
+    X = SimplicialComplex(
+        SQUARE_IDS, SQUARE_COORDS, {1: SQUARE_EDGES, 2: [[0, 1, 2], [1, 2, 3]]}
+    )
+    assert reeb_graph(X, X.coords[:, 1]).n_nodes == 2
+
+
+@pytest.mark.parametrize(
+    "ids, coords, simplices, message",
+    [
+        ([], np.empty((0, 2)), {}, "at least one vertex"),
+        ([0, 2, 1, 3], SQUARE_COORDS, {}, "strictly increasing"),
+        (SQUARE_IDS, SQUARE_COORDS[:3], {}, "misaligned"),
+        (SQUARE_IDS, np.zeros((4, 4)), {}, r"R\^k, 1 <= k <= 3"),
+        (SQUARE_IDS, np.full((4, 2), np.nan), {}, "finite"),
+        (SQUARE_IDS, SQUARE_COORDS, {0: [[0], [1]]}, "bad simplex dimension 0"),
+        (SQUARE_IDS, SQUARE_COORDS, {4: [[0, 1, 2, 3, 4]]}, "bad simplex dimension 4"),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 1, 2]]}, "must have 2 vertices"),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [0, 1]}, "must have 2 vertices"),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 4]]}, "missing vertex"),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[-1, 0]]}, "missing vertex"),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[1, 0]]}, "sorted ascending"),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 0]]}, "sorted ascending"),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 1], [0, 1]]}, "duplicate dimension-1"),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 2], [0, 1]]}, "lexicographic"),
+        (
+            SQUARE_IDS,
+            SQUARE_COORDS,
+            {1: [[0, 1], [1, 2]], 2: [[0, 1, 2]]},
+            r"face \(0, 2\) of \(0, 1, 2\)",
+        ),
+        (
+            SQUARE_IDS,
+            SQUARE_COORDS,
+            {1: [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]], 3: [[0, 1, 2, 3]]},
+            r"face \(1, 2, 3\) of \(0, 1, 2, 3\)",
+        ),
+    ],
+    ids=[
+        "no vertices",
+        "unsorted vertex ids",
+        "coords misaligned",
+        "coords in R^4",
+        "coords not finite",
+        "dimension 0",
+        "dimension 4",
+        "wrong row width",
+        "flat row",
+        "index above range",
+        "negative index",
+        "unsorted row",
+        "repeated vertex in a row",
+        "duplicate row",
+        "rows out of lex order",
+        "missing face",
+        "missing whole dimension",
+    ],
+)
+def test_validate_rejections(ids, coords, simplices, message):
+    with pytest.raises(ValidationError, match=message):
+        SimplicialComplex(ids, coords, simplices)
+
+
+SQUARE_VERTICES = [(10 * i, tuple(c)) for i, c in enumerate(SQUARE_COORDS)]
+
+
+@pytest.mark.parametrize(
+    "vertices, simplices, message",
+    [
+        ([], [], "at least one vertex"),
+        (SQUARE_VERTICES + [(0, (5.0, 5.0))], [], "duplicate vertex ids"),
+        (SQUARE_VERTICES + [(2**70, (5.0, 5.0))], [], "fit in 64 bits"),
+        (SQUARE_VERTICES, [(0, 10), (10, 7)], "unknown vertex id 7"),
+        (SQUARE_VERTICES, [(30,), (2**70, 0)], "unknown vertex id"),
+        (SQUARE_VERTICES, [(0, 10), (10, 20, 10)], r"repeated vertex\): \(10, 20, 10\)"),
+        (SQUARE_VERTICES + [(40, (2.0, 2.0))], [(0, 10, 20, 30, 40)], "dimension 4 exceeds"),
+    ],
+    ids=[
+        "no vertices",
+        "duplicate vertex id",
+        "vertex id beyond int64",
+        "unknown vertex id",
+        "simplex id beyond int64",
+        "repeated vertex",
+        "dimension above 3",
+    ],
+)
+def test_build_rejections(vertices, simplices, message):
+    with pytest.raises(ValidationError, match=message):
+        SimplicialComplex.build(vertices, simplices)
+
+
+def _brute_force_closure(simplices):
+    """Every face of every given simplex (as index tuples), by dimension."""
+    out = {}
+    for s in simplices:
+        s = tuple(sorted(s))
+        for k in range(2, len(s) + 1):
+            out.setdefault(k - 1, set()).update(itertools.combinations(s, k))
+    return {d: sorted(faces) for d, faces in out.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_build_closure_and_face_table_match_brute_force(data):
+    n = data.draw(st.integers(1, 9))
+    ids = data.draw(st.lists(st.integers(-50, 10**6), min_size=n, max_size=n, unique=True))
+    order = data.draw(st.permutations(range(n)))
+    vertices = [(ids[i], (float(i), 0.5 * i)) for i in order]
+    given_rows = data.draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=min(4, n), unique=True),
+            max_size=12,
+        )
+    )
+    # redundant faces: repeat some simplices and some of their faces verbatim
+    extra = [row[: len(row) - 1] for row in given_rows if len(row) > 1 and row[0] % 2]
+    raw = [tuple(ids[i] for i in row) for row in given_rows + given_rows[:2] + extra]
+    X = SimplicialComplex.build(vertices, raw)
+    assert X.vertex_ids.tolist() == sorted(ids)
+    assert X.coords[:, 0].tolist() == [float(ids.index(v)) for v in sorted(ids)]
+
+    index = {v: i for i, v in enumerate(sorted(ids))}
+    expected = _brute_force_closure([[index[v] for v in s] for s in raw])
+    assert sorted(X.simplices) == sorted(expected)
+    for d, rows in X.simplices.items():
+        assert [tuple(r) for r in rows.tolist()] == expected[d]
+
+    # the face table against a dict from simplex to global position
+    blocks, first_vertex, pair_a, pair_b = X.face_table
+    simplices = [(v,) for v in range(n)]
+    for d in sorted(expected):
+        simplices.extend(expected[d])
+    position = {s: g for g, s in enumerate(simplices)}
+    assert first_vertex.tolist() == [s[0] for s in simplices]
+    want_a, want_b = [], []
+    for d in sorted(expected):
+        for p in range(d + 1):
+            for s in expected[d]:
+                want_a.append(position[s])
+                want_b.append(position[s[:p] + s[p + 1 :]])
+    assert pair_a.tolist() == want_a
+    assert pair_b.tolist() == want_b
 
 
 def test_single_edge_global_thickening_hand_enumeration():

@@ -123,6 +123,15 @@ def test_cli_build_missing_file_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_build_rejects_unknown_vertex_id(tmp_path, capsys):
+    mesh = tmp_path / "bad.json"
+    vertices = [{"id": 0, "coords": [0.0]}, {"id": 1, "coords": [1.0]}]
+    mesh.write_text(json.dumps({"vertices": vertices, "simplices": {"1": [[0, 1], [1, 2]]}}))
+    assert main(["build", "--in", str(mesh), "--out", str(tmp_path / "g.json")]) == 3
+    assert "unknown vertex id 2" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_cli_build_field_expression(tmp_path):
     mesh = _write_circle(tmp_path)
     out = tmp_path / "g.json"

@@ -8,6 +8,7 @@ then frozen as a literal.
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from reebsmooth.errors import GuardViolation, ValidationError
 from reebsmooth.measures import (
@@ -184,6 +185,25 @@ def test_wasserstein2_matches_1d_quantile_oracle():
         assert wasserstein2(mu, nu) == pytest.approx(
             w2_sorted_oracle(ap, aw, bp, bw), abs=1e-7
         )
+
+
+def test_wasserstein2_matches_the_loop_built_lp():
+    # the marginal rows written out one by one, as an independent construction
+    # of the same LP: the solver sees the same problem, so values are equal
+    rng = np.random.default_rng(4)
+    for trial in range(30):
+        n, k = (1, 1) if trial == 0 else rng.integers(1, 13, size=2)
+        mu = EmpiricalMeasure(rng.normal(size=(n, 2)), rng.dirichlet(np.ones(n)))
+        nu = EmpiricalMeasure(rng.normal(size=(k, 2)), rng.dirichlet(np.ones(k)))
+        a_eq = np.zeros((n + k - 1, n * k))
+        for i in range(n):
+            a_eq[i, i * k : (i + 1) * k] = 1.0
+        for j in range(k - 1):
+            a_eq[n + j, j::k] = 1.0
+        rhs = np.concatenate([mu.weights, nu.weights[:-1]])
+        cost = ((mu.points[:, None, :] - nu.points[None, :, :]) ** 2).sum(axis=2)
+        res = linprog(cost.ravel(), A_eq=a_eq, b_eq=rhs, bounds=(0, None), method="highs")
+        assert wasserstein2(mu, nu) == float(np.sqrt(max(res.fun, 0.0)))
 
 
 def test_wasserstein2_support_guard():

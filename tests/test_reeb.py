@@ -20,7 +20,6 @@ from reebsmooth.meshes import (
 )
 from reebsmooth.reeb import (
     ReebGraph,
-    _simplex_enumeration,
     is_isomorphic,
     level_components,
     realize_as_complex,
@@ -292,7 +291,7 @@ def _per_level_sweep(min_rank, max_rank, pair_a, pair_b, n_levels):
 
 def _simplex_windows(X, lo_rank, hi_rank):
     """Per-simplex windows from per-vertex ranks, as `window_reeb_graph` forms them."""
-    blocks, _, pair_a, pair_b = _simplex_enumeration(X)
+    blocks, _, pair_a, pair_b = X.face_table
     min_rank = np.concatenate([lo_rank[b].min(axis=1) for b in blocks])
     max_rank = np.concatenate([hi_rank[b].max(axis=1) for b in blocks])
     return min_rank, max_rank, pair_a, pair_b

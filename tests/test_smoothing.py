@@ -138,6 +138,24 @@ def test_local_interleaving_random_radii_residual_bound():
         assert verify_commutativity(pair)["passed"]
 
 
+def test_local_interleaving_reads_the_thickening_vertex_table():
+    # the maps are built from the three-layer vertex table alone; it must be
+    # the triangulated thickening's, bit for bit, on every fixture
+    rng = np.random.default_rng(17)
+    for X, f in (circle_complex(20), torus_mesh(8, 8), three_loop_rig()):
+        r1 = ScalarField(rng.uniform(0.1, 0.9, X.n_vertices))
+        r2 = ScalarField(rng.uniform(0.1, 0.9, X.n_vertices))
+        pair = build_local_interleaving(X, f, r1, r2)
+        for vm, r, field in (
+            (pair.forward, r1, pair.context["field1"]),
+            (pair.backward, r2, pair.context["field2"]),
+        ):
+            thick = thicken_local(X, f, r)
+            assert np.array_equal(vm.base, thick.base_index)
+            assert np.array_equal(vm.source_offset, thick.offset)
+            assert np.array_equal(field, thick.field.values)
+
+
 def test_ambient_interleaving_identity_and_random():
     X, f = torus_mesh(6, 6)
     pair0 = build_ambient_interleaving(X, f, f)
