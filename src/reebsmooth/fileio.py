@@ -176,7 +176,20 @@ def complex_to_dict(X, field=None):
 def complex_from_dict(data, path=None):
     try:
         verts = [(int(v["id"]), v["coords"]) for v in data["vertices"]]
-        simplices = [row for rows in data.get("simplices", {}).values() for row in rows]
+        by_dim = data.get("simplices", {})
+        if not isinstance(by_dim, dict):
+            raise ParseError("simplices must be an object keyed by dimension", path=path)
+        simplices = []
+        for key, rows in by_dim.items():
+            d = int(key)
+            for row in rows:
+                if d < 0 or len(row) != d + 1:
+                    raise ParseError(
+                        f"simplices[{key!r}] has a row of {len(row)} vertices, "
+                        f"not a {d}-simplex",
+                        path=path,
+                    )
+                simplices.append(row)
         X = SimplicialComplex.build(verts, simplices)
         field = None
         if "field" in data:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from reebsmooth.complexes import ScalarField
+from reebsmooth.cli import main
+from reebsmooth.complexes import ScalarField, SimplicialComplex
 from reebsmooth.errors import ParseError
 from reebsmooth.fileio import (
     complex_from_dict,
@@ -103,6 +104,45 @@ def test_complex_json_round_trip(tmp_path):
         assert np.array_equal(X.simplices[k], X2.simplices[k])
     assert np.array_equal(f.values, f2.values)
     assert is_isomorphic(reeb_graph(X, f), reeb_graph(X2, f2))
+
+
+def test_complex_json_round_trip_with_tetrahedra():
+    X = SimplicialComplex.build(
+        [(i, [float(i), float(i % 2), float(i % 3)]) for i in range(6)],
+        [(0, 1, 2, 3), (1, 2, 3, 4), (4, 5)],
+    )
+    d = json.loads(json.dumps(complex_to_dict(X)))
+    assert sorted(d["simplices"]) == ["1", "2", "3"]
+    X2, f2 = complex_from_dict(d)
+    assert f2 is None
+    assert X2.simplices.keys() == X.simplices.keys()
+    for k in X.simplices:
+        assert np.array_equal(X.simplices[k], X2.simplices[k])
+
+
+@pytest.mark.parametrize(
+    "simplices",
+    [
+        {"7": [[0, 1], []]},  # wrong key, and an empty row
+        {"1": [[0, 1], []]},  # an empty row
+        {"2": [[0, 1]]},  # an edge under the triangles
+        {"1": [[0, 1, 2]]},  # a triangle under the edges
+        {"0": [[]]},
+        {"-1": [[]]},
+        {"one": [[0, 1]]},
+        [[0, 1]],  # not keyed by dimension
+    ],
+)
+def test_complex_json_rejects_rows_not_of_their_dimension(tmp_path, capsys, simplices):
+    vertices = [{"id": i, "coords": [float(i), 0.0]} for i in range(3)]
+    data = {"vertices": vertices, "simplices": simplices}
+    with pytest.raises(ParseError):
+        complex_from_dict(data)
+    mesh = tmp_path / "bad.json"
+    mesh.write_text(json.dumps(data))
+    assert main(["build", "--in", str(mesh), "--out", str(tmp_path / "g.json")]) == 2
+    assert "bad.json" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_field_dict_round_trip():

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from reebsmooth import _core
+from reebsmooth import _core, reeb
 from reebsmooth.complexes import ScalarField, SimplicialComplex
 from reebsmooth.errors import GuardViolation
+from reebsmooth.experiments import ExperimentConfig, run_stability
 from reebsmooth.meshes import (
     circle_complex,
     random_complex,
@@ -317,6 +318,10 @@ def test_blocked_sweep_matches_per_level_sweep(seed, shape, n_levels, widths):
     # some pairs never have both ends active
     rng = np.random.default_rng(seed)
     X = random_complex(rng, *COMPLEX_SHAPES[shape])
+    _assert_every_block_size_matches(_random_windows(rng, X, n_levels, widths), n_levels)
+
+
+def _random_windows(rng, X, n_levels, widths):
     lo = rng.integers(0, n_levels, size=X.n_vertices)
     hi = lo if widths == "zero" else np.minimum(lo + rng.integers(0, 4, size=len(lo)), n_levels - 1)
     args = _simplex_windows(X, lo, hi)
@@ -324,6 +329,10 @@ def test_blocked_sweep_matches_per_level_sweep(seed, shape, n_levels, widths):
         start = rng.integers(0, n_levels, size=len(args[0]))
         stop = np.minimum(start + rng.integers(0, 4, size=len(start)), n_levels - 1)
         args = (start, stop) + args[2:]
+    return args
+
+
+def _assert_every_block_size_matches(args, n_levels):
     expected = _per_level_sweep(*args, n_levels)
     # block sizes 1, 2 and 7 hand arcs across block boundaries on nearly
     # every level; the default size covers the production path
@@ -333,6 +342,83 @@ def test_blocked_sweep_matches_per_level_sweep(seed, shape, n_levels, widths):
             got = sweep_quotient(*args, n_levels)
         for g, e in zip(got, expected):
             assert g.dtype == e.dtype and np.array_equal(g, e), block
+
+
+def _random_solid(rng):
+    """A random closed complex with tetrahedra, so that links have edge facets."""
+    n = 8
+    simplices = [tuple(rng.choice(n, size=4, replace=False).tolist()) for _ in range(5)]
+    simplices += [tuple(rng.choice(n, size=3, replace=False).tolist()) for _ in range(3)]
+    coords = rng.uniform(-1.0, 1.0, size=(n, 3))
+    return SimplicialComplex.build([(i, coords[i]) for i in range(n)], simplices)
+
+
+# Pinched complexes: the link of the pinch point is disconnected, so the one
+# pair that joins the two sides is not implied and must stay.
+PINCHED = {
+    "triangles at a vertex": [(0, 1, 2), (0, 3, 4)],
+    "tetrahedra at an edge": [(0, 1, 2, 3), (0, 1, 4, 5)],
+}
+
+
+def _pinched(name):
+    rows = PINCHED[name]
+    n = max(max(r) for r in rows) + 1
+    return SimplicialComplex.build([(i, [float(i), float(i % 2), 0.0]) for i in range(n)], rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["solid"] + sorted(PINCHED)),
+    st.integers(1, 9),
+    st.sampled_from(["zero", "vertex", "simplex"]),
+)
+def test_contracted_sweep_matches_per_level_sweep_with_tetrahedra(seed, shape, n_levels, widths):
+    # zero and vertex: windows from per-vertex ranks, so every pair is
+    # nested and the contraction prunes links; simplex: independent
+    # windows, so nesting varies from pair to pair
+    rng = np.random.default_rng(seed)
+    X = _random_solid(rng) if shape == "solid" else _pinched(shape)
+    _assert_every_block_size_matches(_random_windows(rng, X, n_levels, widths), n_levels)
+
+
+def _kept_pairs(X, lo, hi):
+    min_rank, max_rank, pair_a, pair_b = _simplex_windows(X, lo, hi)
+    _, kept, _ = _core._contract(2 * min_rank, 2 * max_rank, pair_a, pair_b)
+    return pair_a[kept], pair_b[kept]
+
+
+def test_link_pruning_keeps_only_the_pairs_that_join():
+    rng = np.random.default_rng(3)
+    # on a closed surface every vertex link is connected: no vertex facet stays
+    X, _ = torus_mesh(8, 8)
+    lo = rng.integers(0, 6, size=X.n_vertices)
+    cofacet, facet = _kept_pairs(X, lo, lo + rng.integers(0, 3, size=len(lo)))
+    assert len(facet) and np.all(facet >= X.n_vertices)
+    # the pinch's joining pair stays, and only it below the top dimension
+    lo = np.zeros(5, dtype=np.int64)
+    cofacet, facet = _kept_pairs(_pinched("triangles at a vertex"), lo, lo)
+    assert facet.tolist() == [0]
+    X = _pinched("tetrahedra at an edge")
+    lo = np.zeros(6, dtype=np.int64)
+    cofacet, facet = _kept_pairs(X, lo, lo)
+    edges = len(X.simplices[1])
+    assert np.count_nonzero(facet < X.n_vertices + edges) == 1
+
+
+def test_sweep_head_codes_do_not_wrap():
+    # 40000 isolated vertices spread over 200000 levels: a block spans some
+    # 70000 levels, so a head code (key offset) * m + simplex passes 2**31
+    rng = np.random.default_rng(0)
+    m, n_levels = 40000, 200000
+    rank = rng.integers(0, n_levels, size=m)
+    none = np.empty(0, dtype=np.int64)
+    node_level, node_rep, arc_bottom, _, _ = sweep_quotient(rank, rank, none, none, n_levels)
+    order = np.lexsort((np.arange(m), rank))
+    assert np.array_equal(node_level, rank[order])
+    assert np.array_equal(node_rep, order)
+    assert len(arc_bottom) == 0
 
 
 def test_blocked_sweep_matches_per_level_sweep_on_a_torus():
@@ -370,3 +456,31 @@ def test_sweep_memory_follows_the_block_size():
         tracemalloc.stop()
     assert len(out[0]) > 10**5
     assert peak < SWEEP_PEAK_MB * 2**20
+
+
+TORUS_SWEEP_PEAK_MB = 1.5
+
+
+def test_sweep_memory_on_the_stability_torus():
+    # The 12 x 12 torus's smoothing windows, the largest sweep of a
+    # three-trial stability run, labelled in blocks of _BLOCK_COPIES copies;
+    # a retuned block size shows here before it shows in a process's RSS.
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return sweep_quotient(*args)
+
+    config = ExperimentConfig(mode="dtm", trials=3, seed=11, threads=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reeb, "sweep_quotient", record)
+        run_stability(config)
+    args = max(calls, key=lambda a: int((a[1] - a[0] + 1).sum()))
+    assert len(args[0]) == 144 + 432 + 288 and (args[1] - args[0] + 1).sum() > 10**5
+    tracemalloc.start()
+    try:
+        sweep_quotient(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= TORUS_SWEEP_PEAK_MB * 2**20
