@@ -119,7 +119,14 @@ def _components(n, a, b):
     """Connected components of the graph on n nodes with edges (a[i], b[i]).
 
     The CSR arrays are built directly, by one argsort of the edge tails.
+    scipy does not check the column indices, so the endpoints are checked
+    here: one outside 0 .. n-1 raises IndexError instead of corrupting memory.
+    Viewed as unsigned, a negative endpoint is larger than any node, so one
+    max per side is the whole check.
     """
+    for ends in (a, b):
+        if len(ends) and ends.view(f"u{ends.itemsize}").max() >= n:
+            raise IndexError(f"edge endpoint outside the {n} graph nodes")
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
     cols = b[np.argsort(a, kind="stable")].astype(np.int32, copy=False)

@@ -9,9 +9,11 @@ Subcommands:
   stability  seeded stability trials (lower bound vs guaranteed upper bound).
   fig4       smoothing-scale sweep on the shipped three-loop fixture.
 
-Field specs for --field: "height" (last coordinate), "csv:<path>" (one value
-per line), "json:<path>" ({"vertex_values": [...]}), or an arithmetic
-expression in x, y, z such as "x*x + sin(y)".
+Field specs for --field: "embedded" (the field stored in a complex JSON; the
+default when there is one), "height" (last coordinate; the default
+otherwise), "csv:<path>" (one value per line), "json:<path>"
+({"vertex_values": [...]}), or an arithmetic expression in x, y, z such as
+"x*x + sin(y)".
 
 A --config file (JSON object or "key = value" lines) overrides flags.
 Exit codes: 0 success, 2 parse error, 3 guard or validation error.
@@ -25,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .complexes import ScalarField
+from .complexes import ScalarField, height_field
 from .errors import GuardViolation, ParseError, ValidationError
 from .experiments import (
     ExperimentConfig,
@@ -35,13 +37,15 @@ from .experiments import (
     run_stability,
 )
 from .fileio import (
-    complex_from_dict,
     dump_json,
+    field_from_dict,
+    load_field_csv,
     load_json,
-    load_off,
+    load_mesh,
     load_weighted_points,
     to_dot,
 )
+from .fileio import load_off  # noqa: F401  unused; traced by perfbench/tracer.py
 from .rangecdf import range_integrated_reeb
 from .smoothing import (
     SmoothingFactor,
@@ -52,15 +56,6 @@ from .smoothing import (
     verify_function_preservation,
 )
 from .reeb import reeb_graph
-
-
-def _load_mesh(path):
-    if path is None:
-        raise ParseError("--in is required")
-    if str(path).endswith(".off"):
-        return load_off(path), None
-    data = load_json(path)
-    return complex_from_dict(data, path=str(path))
 
 
 _EXPR_NAMES = {
@@ -76,42 +71,29 @@ _EXPR_NAMES = {
 }
 
 
+def _mesh_and_field(args):
+    """The --in mesh, and the field that --field names on it."""
+    if args.in_path is None:
+        raise ParseError("--in is required")
+    X, embedded = load_mesh(args.in_path)
+    return X, _field_from_spec(args.field, X, embedded)
+
+
 def _field_from_spec(spec, X, embedded):
-    if spec is None or spec == "embedded":
-        if embedded is None and spec == "embedded":
+    if spec is None:
+        spec = "height" if embedded is None else "embedded"
+    if spec == "embedded":
+        if embedded is None:
             raise ParseError("mesh file carries no embedded field")
-        if embedded is not None and spec is None:
-            return embedded
-        spec = spec or "height"
+        return embedded
     if spec == "height":
-        return ScalarField(X.coords[:, -1].copy())
-    if spec.startswith("csv:"):
-        path = spec[4:]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                vals = []
-                for n, line in enumerate(fh, start=1):
-                    line = line.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    try:
-                        vals.append(float(line))
-                    except ValueError:
-                        raise ParseError("bad field value", path=path, line=n) from None
-        except OSError as exc:
-            raise ParseError(str(exc), path=path) from None
-        if len(vals) != X.n_vertices:
-            raise ParseError(
-                f"field has {len(vals)} values for {X.n_vertices} vertices", path=path
-            )
-        return ScalarField(np.asarray(vals))
-    if spec.startswith("json:"):
-        path = spec[5:]
-        data = load_json(path)
-        try:
-            vals = np.asarray(data["vertex_values"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad field JSON: {exc}", path=path) from None
+        return height_field(X)
+    if spec.startswith(("csv:", "json:")):
+        kind, path = spec.split(":", 1)
+        if kind == "csv":
+            vals = load_field_csv(path)
+        else:
+            vals = field_from_dict(load_json(path), path=path).values
         if len(vals) != X.n_vertices:
             raise ParseError(
                 f"field has {len(vals)} values for {X.n_vertices} vertices", path=path
@@ -145,14 +127,12 @@ def _emit(graph, args, extra=None):
 
 
 def cmd_build(args):
-    X, embedded = _load_mesh(args.in_path)
-    f = _field_from_spec(args.field, X, embedded)
+    X, f = _mesh_and_field(args)
     return _emit(reeb_graph(X, f), args)
 
 
 def cmd_smooth(args):
-    X, embedded = _load_mesh(args.in_path)
-    f = _field_from_spec(args.field, X, embedded)
+    X, f = _mesh_and_field(args)
     measure = load_weighted_points(args.measure) if args.measure else None
     factors = []
     if args.eps is not None:
@@ -184,8 +164,7 @@ def cmd_smooth(args):
 
 
 def cmd_range(args):
-    X, embedded = _load_mesh(args.in_path)
-    f = _field_from_spec(args.field, X, embedded)
+    X, f = _mesh_and_field(args)
     if not args.measure:
         raise ValidationError("range needs --measure")
     mu = load_weighted_points(args.measure)
@@ -316,7 +295,9 @@ def _build_parser():
 
     def io_flags(p, measure=False):
         p.add_argument("--in", dest="in_path", help="mesh file (.off or complex JSON)")
-        p.add_argument("--field", default=None, help="height | csv:<path> | json:<path> | expression")
+        p.add_argument(
+            "--field", default=None, help="embedded | height | csv:<path> | json:<path> | expression"
+        )
         p.add_argument("--out", default=None, help="write the JSON payload here (default stdout)")
         p.add_argument("--dot", default=None, help="also write a DOT rendering here")
         p.add_argument("--config", default=None, help="key-value file overriding flags")

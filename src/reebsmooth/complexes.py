@@ -51,6 +51,21 @@ class ScalarField:
         return len(self.values)
 
 
+def as_scalar_field(f):
+    """f itself if it is a ScalarField, else the ScalarField of its values.
+
+    Every function that takes a scalar field takes it through here, so a
+    ScalarField or any array-like is checked the same way: 1-d, float64,
+    finite.
+    """
+    return f if isinstance(f, ScalarField) else ScalarField(f)
+
+
+def height_field(X):
+    """The last coordinate of every vertex of X, as a field."""
+    return ScalarField(X.coords[:, -1].copy())
+
+
 @dataclass(frozen=True)
 class VectorField:
     """One value in R^d (d in 1..3) per vertex, index aligned with a complex."""
@@ -222,12 +237,6 @@ class SimplicialComplex:
         if dim == 0:
             return self.n_vertices
         return len(self.simplices.get(dim, ()))
-
-    def index_of(self, vertex_id):
-        i = int(np.searchsorted(self.vertex_ids, vertex_id))
-        if i >= len(self.vertex_ids) or self.vertex_ids[i] != vertex_id:
-            raise ValidationError(f"unknown vertex id {vertex_id}")
-        return i
 
     def domain_diameter(self):
         """Exact max pairwise vertex distance (chunked to bound memory).
@@ -412,5 +421,4 @@ def thicken_global(X, f, eps):
 
 def thicken_local(X, f, r):
     """Thicken X by the varying interval [-r(v), +r(v)] per vertex column."""
-    r_vals = r.values if isinstance(r, ScalarField) else np.asarray(r, dtype=np.float64)
-    return _thicken(X, f, r_vals)
+    return _thicken(X, f, as_scalar_field(r).values)

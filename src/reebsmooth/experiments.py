@@ -24,10 +24,10 @@ from importlib.resources import files
 
 import numpy as np
 
-from .complexes import ScalarField
+from .complexes import height_field
 from .diagrams import DEFAULT_PROXY_FACTOR, extended_persistence, interleaving_lower_bound
 from .errors import ValidationError
-from .fileio import complex_from_dict, parse_weighted_points
+from .fileio import complex_from_dict, load_mesh, parse_weighted_points
 from .measures import (
     EmpiricalMeasure,
     KernelSpec,
@@ -58,16 +58,8 @@ def _mesh(name):
         if name in _MESH_BUILDERS:
             _MESH_CACHE[name] = _MESH_BUILDERS[name]()
         else:
-            from .fileio import load_json, load_off
-
-            if str(name).endswith(".off"):
-                X = load_off(name)
-                f = ScalarField(X.coords[:, -1].copy())
-            else:
-                X, f = complex_from_dict(load_json(name), path=str(name))
-                if f is None:
-                    f = ScalarField(X.coords[:, -1].copy())
-            _MESH_CACHE[name] = (X, f)
+            X, f = load_mesh(name)
+            _MESH_CACHE[name] = (X, height_field(X) if f is None else f)
     return _MESH_CACHE[name]
 
 
@@ -127,18 +119,6 @@ class ExperimentConfig:
         if "meshes" in data:
             data = dict(data, meshes=tuple(data["meshes"]))
         return cls(**data)
-
-
-def _worker_count(config):
-    if config.threads is not None:
-        return max(1, int(config.threads))
-    env = os.environ.get("REEB_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"REEB_THREADS must be an integer, got {env!r}") from None
-    return 1
 
 
 def _bump_field(rng, X, amplitude):
@@ -235,7 +215,7 @@ def _run_trial(config, trial):
 
 def run_stability(config):
     """Run the seeded trials; the report is deterministic for a fixed config."""
-    workers = _worker_count(config)
+    workers = max(1, int(config.threads or 1))
     indices = range(config.trials)
     if workers == 1:
         trials = [_run_trial(config, t) for t in indices]

@@ -1,4 +1,4 @@
-"""Parsers and serializers: OFF meshes, weighted point CSVs, JSON, DOT.
+"""Parsers and serializers: OFF meshes, weighted point CSVs, field files, JSON, DOT.
 
 Parse errors carry the offending line number.  All JSON writers emit sorted
 keys so outputs are byte-stable.
@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .complexes import ScalarField, SimplicialComplex
+from .complexes import ScalarField, SimplicialComplex, as_scalar_field
 from .errors import ParseError
 from .measures import EmpiricalMeasure
 from .reeb import ReebGraph
@@ -20,6 +20,15 @@ def _decode(data):
     if isinstance(data, bytes):
         return data.decode("utf-8")
     return data
+
+
+def _read(path):
+    """The bytes of a file; an OSError becomes a ParseError naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(str(exc), path=str(path)) from None
 
 
 def _content_lines(text):
@@ -100,11 +109,18 @@ def parse_off(data, path=None):
 
 
 def load_off(path):
-    try:
-        with open(path, "rb") as fh:
-            return parse_off(fh.read(), path=str(path))
-    except OSError as exc:
-        raise ParseError(str(exc), path=str(path)) from None
+    return parse_off(_read(path), path=str(path))
+
+
+def load_mesh(path):
+    """A mesh file as (complex, embedded field or None).
+
+    A path ending in ".off" is an OFF mesh, which carries no field; any other
+    is a complex JSON (`complex_from_dict`).
+    """
+    if str(path).endswith(".off"):
+        return load_off(path), None
+    return complex_from_dict(load_json(path), path=str(path))
 
 
 def parse_weighted_points(data, path=None):
@@ -146,11 +162,18 @@ def parse_weighted_points(data, path=None):
 
 
 def load_weighted_points(path):
-    try:
-        with open(path, "rb") as fh:
-            return parse_weighted_points(fh.read(), path=str(path))
-    except OSError as exc:
-        raise ParseError(str(exc), path=str(path)) from None
+    return parse_weighted_points(_read(path), path=str(path))
+
+
+def load_field_csv(path):
+    """One field value per content line of a text file, as a float array."""
+    vals = []
+    for n, line in _content_lines(_decode(_read(path))):
+        try:
+            vals.append(float(line))
+        except ValueError:
+            raise ParseError("bad field value", path=path, line=n) from None
+    return np.asarray(vals, dtype=np.float64)
 
 
 # -- JSON schemas ----------------------------------------------------------------
@@ -168,8 +191,7 @@ def complex_to_dict(X, field=None):
         },
     }
     if field is not None:
-        vals = field.values if isinstance(field, ScalarField) else np.asarray(field)
-        out["field"] = [float(v) for v in vals]
+        out["field"] = [float(v) for v in as_scalar_field(field).values]
     return out
 
 
@@ -193,7 +215,7 @@ def complex_from_dict(data, path=None):
         X = SimplicialComplex.build(verts, simplices)
         field = None
         if "field" in data:
-            field = ScalarField(np.asarray(data["field"], dtype=np.float64))
+            field = ScalarField(data["field"])
             if len(field.values) != X.n_vertices:
                 raise ParseError("field length does not match vertex count", path=path)
         return X, field
@@ -202,13 +224,12 @@ def complex_from_dict(data, path=None):
 
 
 def field_to_dict(field):
-    vals = field.values if isinstance(field, ScalarField) else np.asarray(field)
-    return {"vertex_values": [float(v) for v in vals]}
+    return {"vertex_values": [float(v) for v in as_scalar_field(field).values]}
 
 
 def field_from_dict(data, path=None):
     try:
-        return ScalarField(np.asarray(data["vertex_values"], dtype=np.float64))
+        return ScalarField(data["vertex_values"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad field JSON: {exc}", path=path) from None
 

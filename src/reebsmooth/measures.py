@@ -75,20 +75,14 @@ class EmpiricalMeasure:
     def support_size(self):
         return len(self.points)
 
-    def translated(self, vec):
-        return EmpiricalMeasure(self.points + np.asarray(vec, dtype=np.float64), self.weights)
-
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family and bandwidth; only the Gaussian family ships."""
+    """Bandwidth of the Gaussian kernel."""
 
     bandwidth: float
-    family: str = "gaussian"
 
     def __post_init__(self):
-        if self.family != "gaussian":
-            raise ValidationError(f"unsupported kernel family {self.family!r}")
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValidationError("kernel bandwidth must be positive")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import ScalarField, VectorField
+from .complexes import ScalarField, VectorField, as_scalar_field
 from .errors import ValidationError
 from .measures import ContinuousCDF, cdf_of_measure, ks_distance
 from .reeb import ReebGraph, is_isomorphic, reeb_graph
@@ -51,8 +51,7 @@ def coordinatewise_ks(F, G):
 
 def compose_cdf(f, F):
     """F applied to a scalar field's values."""
-    vals = f.values if isinstance(f, ScalarField) else np.asarray(f, dtype=np.float64)
-    return ScalarField(F(vals))
+    return ScalarField(F(as_scalar_field(f).values))
 
 
 def coordinatewise_transform(f, F):
@@ -71,7 +70,6 @@ def range_integrated_reeb(X, f, measure_or_cdf):
     here) or a ready ContinuousCDF.
     """
     F = measure_or_cdf if isinstance(measure_or_cdf, ContinuousCDF) else cdf_of_measure(measure_or_cdf)
-    f = f if isinstance(f, ScalarField) else ScalarField(np.asarray(f, dtype=np.float64))
     return reeb_graph(X, compose_cdf(f, F)), F
 
 
@@ -82,7 +80,7 @@ def check_monotone_invariance(X, f, F, value_tol=1e-9):
     two distinct values collide in floating point after mapping.  Then the
     composed graph must be isomorphic to the original with remapped values.
     """
-    f = f if isinstance(f, ScalarField) else ScalarField(np.asarray(f, dtype=np.float64))
+    f = as_scalar_field(f)
     lo, hi = float(f.values.min()), float(f.values.max())
     report = {"applicable": True, "passed": None, "reason": ""}
     if not F.strictly_increasing_on(lo, hi):

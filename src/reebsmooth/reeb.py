@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _cc
 
-from ._core import sweep_quotient
-from .complexes import ScalarField, SimplicialComplex
+from ._core import _components, sweep_quotient
+from .complexes import ScalarField, SimplicialComplex, as_scalar_field
 from .errors import GuardViolation, ValidationError
 
 ISO_MAX_NODES = 64
@@ -74,21 +72,11 @@ class ReebGraph:
         return self.down_degrees() + self.up_degrees()
 
     def component_count(self):
-        if self.n_edges == 0:
-            return self.n_nodes
-        g = coo_matrix(
-            (np.ones(self.n_edges, dtype=bool), (self.edges[:, 0], self.edges[:, 1])),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-        n, _ = _cc(g, directed=False)
-        return int(n)
+        return int(_components(self.n_nodes, self.edges[:, 0], self.edges[:, 1])[0])
 
     def betti1(self):
         """First Betti number: independent loops of the graph."""
         return self.n_edges - self.n_nodes + self.component_count()
-
-    def value_range(self):
-        return float(self.node_values.min()), float(self.node_values.max())
 
     def level_multiplicity(self, c):
         """Points of the quotient at level c: nodes at c plus edges across c."""
@@ -125,10 +113,7 @@ def reeb_graph(X, f):
     Exact on the given float values: no perturbation, ties and plateaus are
     handled by the grouped-level sweep.
     """
-    if isinstance(f, ScalarField):
-        values = f.values
-    else:
-        values = np.asarray(f, dtype=np.float64)
+    values = as_scalar_field(f).values
     if len(values) != X.n_vertices:
         raise ValidationError("field length does not match vertex count")
     return window_reeb_graph(X, values, values)
@@ -148,8 +133,7 @@ def window_reeb_graph(X, lo, hi):
     levels = np.unique(lo if hi is lo else np.concatenate([lo, hi]))
     lo_rank = np.searchsorted(levels, lo)
     hi_rank = lo_rank if hi is lo else np.searchsorted(levels, hi)
-    min_rank = np.concatenate([lo_rank[b].min(axis=1) for b in blocks])
-    max_rank = np.concatenate([hi_rank[b].max(axis=1) for b in blocks])
+    min_rank, max_rank = _value_extents(blocks, lo_rank, hi_rank)
 
     node_level, node_rep, arc_bottom, arc_top, arc_rep = sweep_quotient(
         min_rank, max_rank, pair_a, pair_b, len(levels)
@@ -191,9 +175,10 @@ def _finalize(node_values, node_witness, arc_bottom, arc_top):
 # -- direct level-set components ----------------------------------------------
 
 
-def _value_extents(blocks, values):
-    vmin = [values[b].min(axis=1) for b in blocks]
-    vmax = [values[b].max(axis=1) for b in blocks]
+def _value_extents(blocks, lo, hi):
+    """Per global simplex, the min of lo and the max of hi over its vertices."""
+    vmin = [lo[b].min(axis=1) for b in blocks]
+    vmax = [hi[b].max(axis=1) for b in blocks]
     return np.concatenate(vmin), np.concatenate(vmax)
 
 
@@ -202,11 +187,12 @@ def level_components(X, f, c):
 
     Returns (count, active, labels): the active simplex indices (global
     enumeration, ascending) and a component label per active simplex.
-    Independent of the sweep: one value, one connectivity pass.
+    Independent of the sweep's levels, windows and contraction: one value,
+    one connectivity pass.
     """
-    values = f.values if isinstance(f, ScalarField) else np.asarray(f, np.float64)
+    values = as_scalar_field(f).values
     blocks, _, pair_a, pair_b = X.face_table
-    vmin, vmax = _value_extents(blocks, values)
+    vmin, vmax = _value_extents(blocks, values, values)
     c = float(c)
     active = np.where((vmin <= c) & (vmax >= c))[0]
     pm = (np.maximum(vmin[pair_a], vmin[pair_b]) <= c) & (
@@ -214,11 +200,7 @@ def level_components(X, f, c):
     )
     a = np.searchsorted(active, pair_a[pm])
     b = np.searchsorted(active, pair_b[pm])
-    n = len(active)
-    if n == 0:
-        return 0, active, np.empty(0, dtype=np.int64)
-    g = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
-    count, labels = _cc(g, directed=False)
+    count, labels = _components(len(active), a, b)
     return int(count), active, labels.astype(np.int64)
 
 
@@ -309,130 +291,4 @@ def realize_as_complex(graph):
         simplices.append((int(u), q + j))
         simplices.append((q + j, int(v)))
     X = SimplicialComplex.build(verts, simplices)
-    return X, ScalarField(np.asarray(vals, dtype=np.float64))
-
-
-SLAB_ORACLE_MAX = 10_000
-
-
-class _OracleUF:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def slab_oracle(X, f):
-    """Reference Reeb construction by direct slab decomposition.
-
-    Deliberately naive: every simplex is a tuple, activity at a level value
-    or open slab is decided by comparing its min/max vertex values against
-    the slab endpoints, components come from a plain union-find over shared
-    codim-1 faces, and regular points are spliced by walking dictionaries.
-    Quadratic in places, guarded to small complexes; used to cross-check the
-    production sweep.
-    """
-    f = f if isinstance(f, ScalarField) else ScalarField(np.asarray(f, dtype=np.float64))
-    if len(f.values) != X.n_vertices:
-        raise ValidationError("field length mismatch")
-    simplices = [(v,) for v in range(X.n_vertices)]
-    for d in sorted(X.simplices):
-        simplices.extend(tuple(int(v) for v in row) for row in X.simplices[d])
-    if len(simplices) > SLAB_ORACLE_MAX:
-        raise GuardViolation(
-            f"slab_oracle handles at most {SLAB_ORACLE_MAX} simplices; "
-            "use reeb_graph for larger inputs"
-        )
-    index = {s: i for i, s in enumerate(simplices)}
-    vmin = np.array([f.values[list(s)].min() for s in simplices])
-    vmax = np.array([f.values[list(s)].max() for s in simplices])
-    levels = np.unique(f.values)
-
-    def components(active):
-        uf = _OracleUF(len(active))
-        local = {simplices[g]: i for i, g in enumerate(active)}
-        for i, g in enumerate(active):
-            s = simplices[g]
-            if len(s) == 1:
-                continue
-            for drop in range(len(s)):
-                face = s[:drop] + s[drop + 1 :]
-                j = local.get(face)
-                if j is not None:
-                    uf.union(i, j)
-        label = {}
-        comp_of = []
-        for i in range(len(active)):
-            root = uf.find(i)
-            if root not in label:
-                label[root] = len(label)
-            comp_of.append(label[root])
-        return comp_of, len(label)
-
-    node_values = []
-    node_reps = []
-    raw_edges = []
-    level_node = []  # per level: global index of each simplex -> node id
-    for t, w in enumerate(levels):
-        active = [g for g in range(len(simplices)) if vmin[g] <= w <= vmax[g]]
-        comp_of, n_comp = components(active)
-        base = len(node_values)
-        node_values.extend([float(w)] * n_comp)
-        reps = {}
-        lookup = {}
-        for i, g in enumerate(active):
-            node = base + comp_of[i]
-            lookup[g] = node
-            head = simplices[g][0]
-            if node not in reps or head < reps[node]:
-                reps[node] = head
-        node_reps.extend(reps[base + c] for c in range(n_comp))
-        level_node.append(lookup)
-        if t == 0:
-            continue
-        lo, hi = levels[t - 1], w
-        spanning = [g for g in range(len(simplices)) if vmin[g] <= lo and vmax[g] >= hi]
-        comp_of, n_comp = components(spanning)
-        seen = set()
-        for i, g in enumerate(spanning):
-            if comp_of[i] in seen:
-                continue
-            seen.add(comp_of[i])
-            raw_edges.append((level_node[t - 1][g], level_node[t][g]))
-
-    # splice degree-(1,1) nodes: walk each chain from its non-regular bottom
-    outs = {}
-    ins = {}
-    for a, b in raw_edges:
-        outs.setdefault(a, []).append(b)
-        ins.setdefault(b, []).append(a)
-    regular = {
-        u
-        for u in range(len(node_values))
-        if len(outs.get(u, ())) == 1 and len(ins.get(u, ())) == 1
-    }
-    kept_edges = []
-    for a, b in raw_edges:
-        if a in regular:
-            continue
-        while b in regular:
-            b = outs[b][0]
-        kept_edges.append((a, b))
-    keep = sorted(set(range(len(node_values))) - regular)
-    renum = {old: new for new, old in enumerate(keep)}
-    return ReebGraph(
-        np.array([node_values[u] for u in keep]),
-        np.array([node_reps[u] for u in keep], dtype=np.int64),
-        np.array(sorted((renum[a], renum[b]) for a, b in kept_edges), dtype=np.int64).reshape(-1, 2),
-    )
+    return X, ScalarField(vals)

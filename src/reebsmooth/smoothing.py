@@ -25,6 +25,7 @@ from .complexes import (
     ScalarField,
     SimplicialComplex,
     VectorField,
+    as_scalar_field,
     constant_radii,
     thickened_vertices,
     thickening_inputs,
@@ -95,9 +96,7 @@ def _coerce_domain(domain, f):
         raise ValidationError("domain must be a SimplicialComplex or ReebGraph")
     if f is None:
         raise ValidationError("a scalar field is required")
-    if not isinstance(f, ScalarField):
-        f = ScalarField(np.asarray(f, dtype=np.float64))
-    return domain, f
+    return domain, as_scalar_field(f)
 
 
 def _smoothed(X, fld, r_values):
@@ -122,10 +121,8 @@ def smooth_local(domain, f, factor, measure=None):
     X, fld = _coerce_domain(domain, f)
     if isinstance(factor, SmoothingFactor):
         r = factor.resolve(X, measure)
-    elif isinstance(factor, ScalarField):
-        r = factor
     else:
-        r = ScalarField(np.asarray(factor, dtype=np.float64))
+        r = as_scalar_field(factor)
     return _smoothed(X, fld, r.values)
 
 
@@ -166,12 +163,8 @@ class InterleavingMapPair:
 
 
 def _field_matrix(f):
-    if isinstance(f, VectorField):
-        return f.values
-    if isinstance(f, ScalarField):
-        return f.values[:, None]
-    arr = np.asarray(f, dtype=np.float64)
-    return arr[:, None] if arr.ndim == 1 else arr
+    """(n, d) values of a scalar or vector field, or of an array-like."""
+    return VectorField(getattr(f, "values", f)).values
 
 
 def _local_direction(base, t, r_target):
@@ -186,9 +179,7 @@ def build_local_interleaving(X, f, r1, r2):
     The residual never exceeds eps = max_x |r1(x) - r2(x)|.  Only the
     thickenings' vertex tables are built, never their triangulations.
     """
-    f = f if isinstance(f, ScalarField) else ScalarField(np.asarray(f, dtype=np.float64))
-    r1 = r1 if isinstance(r1, ScalarField) else ScalarField(np.asarray(r1, dtype=np.float64))
-    r2 = r2 if isinstance(r2, ScalarField) else ScalarField(np.asarray(r2, dtype=np.float64))
+    f, r1, r2 = (as_scalar_field(x) for x in (f, r1, r2))
     for r in (r1, r2):
         if len(r.values) != X.n_vertices:
             raise ValidationError("radius field length mismatch")

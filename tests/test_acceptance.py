@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v` for the per-criterion verdicts;
 each test also prints a one-line summary with the measured numbers.
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -30,7 +29,7 @@ from reebsmooth.measures import (
 )
 from reebsmooth.meshes import circle_complex, random_field, three_loop_rig, torus_mesh
 from reebsmooth.rangecdf import check_monotone_invariance
-from reebsmooth.reeb import is_isomorphic, reeb_graph, slab_oracle
+from reebsmooth.reeb import is_isomorphic, reeb_graph
 from reebsmooth.smoothing import (
     SmoothingFactor,
     build_ambient_interleaving,
@@ -40,6 +39,8 @@ from reebsmooth.smoothing import (
     verify_commutativity,
     verify_function_preservation,
 )
+
+from oracles import bottleneck_oracle, slab_oracle
 
 
 def _verdict(tag, ok, detail):
@@ -230,32 +231,6 @@ def test_c10_interleaving_map_verification():
     )
 
 
-def _bottleneck_oracle(d1, d2):
-    def cost(p, q):
-        return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-
-    def diag(p):
-        return abs(p[1] - p[0]) / 2.0
-
-    a = [(p.birth, p.death) for p in d1.points]
-    b = [(p.birth, p.death) for p in d2.points]
-    best = min(
-        (
-            max(
-                [cost(a[i], b[j]) for i, j in zip(sub_a, sub_b)]
-                + [diag(a[i]) for i in range(len(a)) if i not in sub_a]
-                + [diag(b[j]) for j in range(len(b)) if j not in sub_b],
-                default=0.0,
-            )
-            for k in range(min(len(a), len(b)) + 1)
-            for sub_a in itertools.combinations(range(len(a)), k)
-            for sub_b in itertools.permutations(range(len(b)), k)
-        ),
-        default=0.0,
-    )
-    return float(best)
-
-
 def test_c11_bottleneck_exhaustive_agreement():
     rng = np.random.default_rng(111)
     worst = 0.0
@@ -267,5 +242,5 @@ def test_c11_bottleneck_exhaustive_agreement():
                 b = float(rng.uniform(-2, 2))
                 pts.append(DiagramPoint(b, b + float(rng.uniform(0, 2)), 0, "ordinary"))
             dgms.append(PersistenceDiagram(tuple(pts)))
-        worst = max(worst, abs(bottleneck(*dgms) - _bottleneck_oracle(*dgms)))
+        worst = max(worst, abs(bottleneck(*dgms) - bottleneck_oracle(*dgms)))
     _verdict("C11", worst <= 1e-12, f"200 diagram pairs vs exhaustive matching: max gap {worst:.1e}")

@@ -1,6 +1,5 @@
 """Extended persistence and bottleneck distance, against brute-force oracles."""
 
-import itertools
 from collections import Counter
 
 import numpy as np
@@ -19,6 +18,8 @@ from reebsmooth.errors import GuardViolation, ValidationError
 from reebsmooth.meshes import circle_complex, random_complex, random_field, three_loop_rig, torus_mesh
 from reebsmooth.reeb import ReebGraph, reeb_graph
 from reebsmooth.smoothing import smooth_local
+
+from oracles import bottleneck_oracle
 
 
 def _points(dgm):
@@ -294,35 +295,6 @@ def test_extended_persistence_at_scale():
     assert all(p.birth in vals and p.death in vals for p in dgm.points)
 
 
-def _bottleneck_oracle(d1, d2):
-    """Brute force over all partial matchings (diagonal charge = pers/2)."""
-
-    def cost(p, q):
-        return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-
-    def diag(p):
-        return abs(p[1] - p[0]) / 2.0
-
-    a = [(p.birth, p.death) for p in d1.points]
-    b = [(p.birth, p.death) for p in d2.points]
-    best = np.inf
-    n, m = len(a), len(b)
-    for k in range(min(n, m) + 1):
-        for sub_a in itertools.combinations(range(n), k):
-            rest_a = [i for i in range(n) if i not in sub_a]
-            for sub_b in itertools.permutations(range(m), k):
-                c = 0.0
-                for i, j in zip(sub_a, sub_b):
-                    c = max(c, cost(a[i], b[j]))
-                for i in rest_a:
-                    c = max(c, diag(a[i]))
-                for j in range(m):
-                    if j not in sub_b:
-                        c = max(c, diag(b[j]))
-                best = min(best, c)
-    return 0.0 if best is np.inf else float(best)
-
-
 def _random_diagram(rng, max_pts=6):
     pts = []
     for _ in range(rng.integers(0, max_pts + 1)):
@@ -349,7 +321,7 @@ def test_bottleneck_against_exhaustive_oracle():
         d1 = _random_diagram(rng)
         d2 = _random_diagram(rng)
         got = bottleneck(d1, d2)
-        want = _bottleneck_oracle(d1, d2)
+        want = bottleneck_oracle(d1, d2)
         assert got == pytest.approx(want, abs=1e-12)
 
 

@@ -132,6 +132,27 @@ def test_cli_build_rejects_unknown_vertex_id(tmp_path, capsys):
     assert not (tmp_path / "g.json").exists()
 
 
+def test_cli_build_embedded_field(tmp_path, capsys):
+    from reebsmooth.fileio import complex_to_dict, dump_json
+    from reebsmooth.meshes import circle_complex
+
+    X, _ = circle_complex(16)
+    x = X.coords[:, 0].copy()  # not the height, so the default cannot pass for it
+    mesh = tmp_path / "circle.json"
+    dump_json(complex_to_dict(X, field=x), mesh)
+    outs = []
+    for spec in ("embedded", None, "x"):
+        out = tmp_path / f"{spec}.json"
+        argv = ["build", "--in", str(mesh), "--out", str(out)]
+        assert main(argv + (["--field", spec] if spec else [])) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+    bare = tmp_path / "bare.json"
+    dump_json(complex_to_dict(X), bare)
+    assert main(["build", "--in", str(bare), "--field", "embedded"]) == 2
+    assert "carries no embedded field" in capsys.readouterr().err
+
+
 def test_cli_build_field_expression(tmp_path):
     mesh = _write_circle(tmp_path)
     out = tmp_path / "g.json"
@@ -273,19 +294,3 @@ def test_cli_entry_point_installed(tmp_path):
         assert command in proc.stdout
 
 
-def test_reeb_threads_env_validation(tmp_path):
-    code = (
-        "from reebsmooth.experiments import ExperimentConfig, _worker_count; "
-        "print(_worker_count(ExperimentConfig()))"
-    )
-    env = dict(os.environ, REEB_THREADS="not_a_number")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode != 0
-    assert "REEB_THREADS" in proc.stderr
-    env["REEB_THREADS"] = "2"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert proc.stdout.strip() == "2"

@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import connected_components
 
 from reebsmooth import _core, reeb
 from reebsmooth.complexes import ScalarField, SimplicialComplex
-from reebsmooth.errors import GuardViolation
+from reebsmooth.errors import GuardViolation, ValidationError
 from reebsmooth.experiments import ExperimentConfig, run_stability
 from reebsmooth.meshes import (
     circle_complex,
@@ -25,9 +25,10 @@ from reebsmooth.reeb import (
     level_components,
     realize_as_complex,
     reeb_graph,
-    slab_oracle,
     sweep_quotient,
 )
+
+from oracles import slab_oracle
 
 
 def test_circle_two_nodes_two_parallel_edges():
@@ -64,6 +65,7 @@ def test_constant_field_single_node():
     g = reeb_graph(X, ScalarField(np.zeros(X.n_vertices)))
     assert g.n_nodes == 1
     assert g.edges.shape == (0, 2)
+    assert (g.component_count(), g.betti1()) == (1, 0)
 
 
 def test_plateau_collapses_and_regular_node_splices():
@@ -99,6 +101,7 @@ def test_disconnected_input_gives_disconnected_graph():
     g = reeb_graph(X, f)
     assert g.n_nodes == 4
     assert len(g.edges) == 2
+    assert g.component_count() == 2
 
 
 def test_edge_monotonicity_and_no_self_loops():
@@ -179,6 +182,27 @@ def test_level_components_counts():
     assert level_components(X, f, 0.0)[0] == 2
     assert level_components(X, f, 1.0)[0] == 1
     assert level_components(X, f, 2.0)[0] == 0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_array_fields_are_checked_like_scalar_fields(bad):
+    X, f = circle_complex(12)
+    values = f.values.copy()
+    values[3] = bad
+    with pytest.raises(ValidationError, match="scalar field values must be finite"):
+        reeb_graph(X, values)
+    with pytest.raises(ValidationError, match="scalar field values must be finite"):
+        level_components(X, values, 0.0)
+
+
+@pytest.mark.parametrize("a, b", [([0, 1], [1, 3]), ([0, 1], [1, -1]), ([0, 3], [1, 2]), ([-1, 0], [1, 2])])
+def test_components_rejects_endpoints_outside_the_graph(a, b):
+    # scipy reads CSR column indices unchecked; an out-of-range one must
+    # raise here instead of corrupting memory
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    with pytest.raises(IndexError, match="outside the 3 graph nodes"):
+        _core._components(3, a, b)
+    assert _core._components(3, a % 3, b % 3)[0] >= 1
 
 
 def test_quotient_functoriality_mirror_map():

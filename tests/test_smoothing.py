@@ -19,7 +19,6 @@ from reebsmooth.reeb import (
     is_isomorphic,
     realize_as_complex,
     reeb_graph,
-    slab_oracle,
 )
 from reebsmooth.smoothing import (
     SmoothingFactor,
@@ -32,6 +31,8 @@ from reebsmooth.smoothing import (
     verify_commutativity,
     verify_function_preservation,
 )
+
+from oracles import slab_oracle
 
 
 def test_circle_contraction_thresholds():
