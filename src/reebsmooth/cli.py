@@ -15,7 +15,8 @@ otherwise), "csv:<path>" (one value per line), "json:<path>"
 ({"vertex_values": [...]}), or an arithmetic expression in x, y, z such as
 "x*x + sin(y)".
 
-A --config file (JSON object or "key = value" lines) overrides flags.
+The stability and fig4 subcommands take a --config file (JSON object or
+"key = value" lines) whose keys override their flags.
 Exit codes: 0 success, 2 parse error, 3 guard or validation error.
 """
 
@@ -31,6 +32,7 @@ from .complexes import ScalarField, height_field
 from .errors import GuardViolation, ParseError, ValidationError
 from .experiments import (
     ExperimentConfig,
+    FIG4_DEFAULTS,
     REPORT_VERSION,
     fig4_sweep,
     report_to_json,
@@ -39,6 +41,7 @@ from .experiments import (
 from .fileio import (
     dump_json,
     field_from_dict,
+    load_config,
     load_field_csv,
     load_json,
     load_mesh,
@@ -50,7 +53,6 @@ from .rangecdf import range_integrated_reeb
 from .smoothing import (
     SmoothingFactor,
     build_local_interleaving,
-    smooth_global,
     smooth_local,
     verify_commutativity,
     verify_function_preservation,
@@ -145,11 +147,7 @@ def cmd_smooth(args):
         raise ValidationError("smooth needs one of --eps, --dtm, --kernel")
     if len(factors) > 2:
         raise ValidationError("smooth takes at most two factor flags")
-    main_factor = factors[-1]
-    if main_factor.kind == "constant":
-        graph = smooth_global(X, f, main_factor.resolve(X).values[0])
-    else:
-        graph = smooth_local(X, f, main_factor, measure)
+    graph = smooth_local(X, f, factors[-1], measure)
     extra = {}
     if len(factors) == 2:
         r1 = factors[0].resolve(X, measure)
@@ -187,7 +185,8 @@ def cmd_stability(args):
     }
     if args.threads is not None:
         cfg["threads"] = args.threads
-    cfg.update(_config_overrides(args))
+    if args.config:
+        cfg.update(load_config(args.config))
     config = ExperimentConfig.from_dict(cfg)
     report = run_stability(config)
     text = report_to_json(report)
@@ -201,15 +200,17 @@ def cmd_stability(args):
 
 def cmd_fig4(args):
     kwargs = {}
-    overrides = _config_overrides(args)
-    for key in ("scales", "mass", "bandwidth", "kernel_scale_base"):
-        if key in overrides:
-            kwargs[key] = overrides[key]
     if args.scales:
         try:
             kwargs["scales"] = [float(s) for s in args.scales.split(",")]
         except ValueError:
             raise ParseError(f"bad --scales list: {args.scales!r}") from None
+    if args.config:
+        config = load_config(args.config)
+        bad = set(config) - set(FIG4_DEFAULTS)
+        if bad:
+            raise ValidationError(f"unknown config keys: {sorted(bad)}")
+        kwargs.update(config)
     report = fig4_sweep(**kwargs)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -233,59 +234,6 @@ def cmd_fig4(args):
     return 0
 
 
-def _coerce_value(text):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
-
-
-def _config_overrides(args):
-    """Key-value config file contents; keys override same-named flags."""
-    if not getattr(args, "config", None):
-        return {}
-    path = args.config
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ParseError(str(exc), path=path) from None
-    stripped = raw.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid config JSON: {exc.msg}", path=path, line=exc.lineno) from None
-        if not isinstance(data, dict):
-            raise ParseError("config must be a JSON object", path=path)
-        return data
-    out = {}
-    for n, line in enumerate(raw.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for sep in ("=", ":"):
-            if sep in line:
-                key, _, val = line.partition(sep)
-                break
-        else:
-            raise ParseError("config lines look like 'key = value'", path=path, line=n)
-        out[key.strip()] = _coerce_value(val.strip())
-    return out
-
-
-def _apply_flag_overrides(args):
-    """Config-file keys matching flag names replace the parsed values."""
-    overrides = _config_overrides(args)
-    for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if dest == "in":
-            dest = "in_path"
-        if hasattr(args, dest) and dest not in ("config",):
-            setattr(args, dest, value)
-    return args
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="reebsmooth",
@@ -300,7 +248,6 @@ def _build_parser():
         )
         p.add_argument("--out", default=None, help="write the JSON payload here (default stdout)")
         p.add_argument("--dot", default=None, help="also write a DOT rendering here")
-        p.add_argument("--config", default=None, help="key-value file overriding flags")
         if measure:
             p.add_argument("--measure", default=None, help="weighted points CSV")
 
@@ -342,8 +289,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("build", "smooth", "range"):
-            args = _apply_flag_overrides(args)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -104,6 +104,17 @@ class ExperimentConfig:
         # an infinite tolerance would pass every trial
         if not (_finite(self.tolerance) and self.tolerance >= 0):
             raise ValidationError("tolerance must be finite and non-negative")
+        if self.threads is not None and not (
+            _finite(self.threads, numbers.Integral) and self.threads >= 1
+        ):
+            raise ValidationError("threads must be a positive integer")
+        if not (
+            isinstance(self.meshes, (list, tuple))
+            and self.meshes
+            and all(isinstance(m, str) for m in self.meshes)
+        ):
+            raise ValidationError("meshes must be a non-empty list of mesh names")
+        object.__setattr__(self, "meshes", tuple(self.meshes))
         unknown = [
             m for m in self.meshes if m not in _MESH_BUILDERS and not os.path.exists(m)
         ]
@@ -116,8 +127,6 @@ class ExperimentConfig:
         bad = set(data) - allowed
         if bad:
             raise ValidationError(f"unknown config keys: {sorted(bad)}")
-        if "meshes" in data:
-            data = dict(data, meshes=tuple(data["meshes"]))
         return cls(**data)
 
 
@@ -215,7 +224,7 @@ def _run_trial(config, trial):
 
 def run_stability(config):
     """Run the seeded trials; the report is deterministic for a fixed config."""
-    workers = max(1, int(config.threads or 1))
+    workers = config.threads or 1
     indices = range(config.trials)
     if workers == 1:
         trials = [_run_trial(config, t) for t in indices]
@@ -294,11 +303,10 @@ def _classify_loops(diagram):
 
 
 def fig4_sweep(
-    scales=None,
-    mass=None,
-    bandwidth=None,
-    kernel_scale_base=None,
-    fixture=None,
+    scales=FIG4_DEFAULTS["scales"],
+    mass=FIG4_DEFAULTS["mass"],
+    bandwidth=FIG4_DEFAULTS["bandwidth"],
+    kernel_scale_base=FIG4_DEFAULTS["kernel_scale_base"],
 ):
     """Scan smoothing scales on the three-loop fixture under both factors.
 
@@ -306,21 +314,22 @@ def fig4_sweep(
     the kernel factor keeps loop A but not B while the dtm factor keeps loop
     B but not A.
     """
-    scales = tuple(scales) if scales is not None else FIG4_DEFAULTS["scales"]
-    mass = mass if mass is not None else FIG4_DEFAULTS["mass"]
-    bandwidth = bandwidth if bandwidth is not None else FIG4_DEFAULTS["bandwidth"]
-    base = (
-        kernel_scale_base
-        if kernel_scale_base is not None
-        else FIG4_DEFAULTS["kernel_scale_base"]
-    )
-    X, f, mu = fixture if fixture is not None else load_fig4_fixture()
+    scales = tuple(scales) if np.iterable(scales) else ()
+    if not (scales and all(_finite(s) and s > 0 for s in scales)):
+        raise ValidationError("scales must be a non-empty list of finite positive numbers")
+    if not (_finite(mass) and 0 < mass <= 1):
+        raise ValidationError("mass must lie in (0, 1]")
+    if not (_finite(bandwidth) and bandwidth > 0):
+        raise ValidationError("bandwidth must be finite and positive")
+    if not (_finite(kernel_scale_base) and kernel_scale_base > 0):
+        raise ValidationError("kernel_scale_base must be finite and positive")
+    X, f, mu = load_fig4_fixture()
     rows = []
     for s in scales:
         row = {"scale": float(s)}
         for kind, param, eff in (
             ("dtm", mass, float(s)),
-            ("kernel", bandwidth, float(s) * base),
+            ("kernel", bandwidth, float(s) * kernel_scale_base),
         ):
             graph = smooth_local(X, f, SmoothingFactor(kind, param, scale=eff), mu)
             dgm = extended_persistence(graph)
@@ -358,7 +367,7 @@ def fig4_sweep(
         "config": {
             "mass": mass,
             "bandwidth": bandwidth,
-            "kernel_scale_base": base,
+            "kernel_scale_base": kernel_scale_base,
             "scales": [float(s) for s in scales],
         },
         "rows": rows,

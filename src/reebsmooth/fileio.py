@@ -1,4 +1,5 @@
-"""Parsers and serializers: OFF meshes, weighted point CSVs, field files, JSON, DOT.
+"""Parsers and serializers: OFF meshes, weighted point CSVs, field files,
+config files, JSON, DOT.
 
 Parse errors carry the offending line number.  All JSON writers emit sorted
 keys so outputs are byte-stable.
@@ -241,14 +242,40 @@ def reeb_from_dict(data, path=None):
         raise ParseError(f"bad Reeb graph JSON: {exc}", path=path) from None
 
 
-def load_json(path):
+def _parse_json(text, path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ParseError(str(exc), path=str(path)) from None
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from None
+
+
+def load_json(path):
+    return _parse_json(_decode(_read(path)), path)
+
+
+def load_config(path):
+    """A settings file as a dict: a JSON object, or "key = value" lines.
+
+    In the line form '#' starts a comment, "key: value" also works, and each
+    value is read as JSON when it parses as JSON and kept as text otherwise.
+    """
+    text = _decode(_read(path))
+    if text.lstrip().startswith("{"):
+        return _parse_json(text, path)
+    out = {}
+    for n, line in _content_lines(text):
+        for sep in ("=", ":"):
+            if sep in line:
+                key, _, val = line.partition(sep)
+                break
+        else:
+            raise ParseError("config lines look like 'key = value'", path=str(path), line=n)
+        val = val.strip()
+        try:
+            out[key.strip()] = json.loads(val)
+        except json.JSONDecodeError:
+            out[key.strip()] = val
+    return out
 
 
 def dump_json(obj, path):

@@ -147,11 +147,17 @@ def _kappa(K, mu, nu):
 
 
 def _sqrt_clamped(radicand):
-    if radicand < 0:
-        if radicand < -1e-12:
-            raise GuardViolation(f"kernel radicand {radicand} below tolerance")
-        radicand = 0.0
-    return float(np.sqrt(radicand))
+    """Square root of kernel radicands; rounding may leave one just below 0."""
+    radicand = np.asarray(radicand, dtype=np.float64)
+    if np.any(radicand < -1e-12):
+        raise GuardViolation(f"kernel radicand {radicand.min()} below tolerance")
+    return np.sqrt(np.clip(radicand, 0.0, None))
+
+
+def _kdist_many(mu, K, query):
+    """Kernel distance between mu and the unit mass at each row of `query`."""
+    cross = K.gram(query, mu.points) @ mu.weights
+    return _sqrt_clamped(_kappa(K, mu, mu) + 1.0 - 2.0 * cross)
 
 
 def kdist_to_measure(mu, K, x):
@@ -159,16 +165,15 @@ def kdist_to_measure(mu, K, x):
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if len(x) != mu.dim:
         raise ValidationError("query dimension does not match measure")
-    cross = float(mu.weights @ K.gram(mu.points, x[None, :])[:, 0])
-    return _sqrt_clamped(_kappa(K, mu, mu) + 1.0 - 2.0 * cross)
+    return float(_kdist_many(mu, K, x[None, :])[0])
 
 
 def kernel_distance(mu, nu, K):
     """Kernel distance between two measures (a metric for Gaussian kernels)."""
     if mu.dim != nu.dim:
         raise ValidationError("measure dimensions differ")
-    return _sqrt_clamped(
-        _kappa(K, mu, mu) + _kappa(K, nu, nu) - 2.0 * _kappa(K, mu, nu)
+    return float(
+        _sqrt_clamped(_kappa(K, mu, mu) + _kappa(K, nu, nu) - 2.0 * _kappa(K, mu, nu))
     )
 
 
@@ -292,36 +297,15 @@ def ks_distance(F, G):
 # -- fields over complexes ------------------------------------------------------
 
 
-def _default_floor(X):
-    d = X.domain_diameter()
-    return 1e-6 * d if d > 0 else 1e-6
-
-
-def dtm_field(X, mu, m, r_min=None):
-    """DTM evaluated at every vertex of X, floored at r_min.
-
-    r_min=None uses 1e-6 times the domain diameter; r_min=0 disables the
-    floor (internal composition hook; the result may then fail positivity).
-    """
+def dtm_field(X, mu, m):
+    """DTM evaluated at every vertex of X (unfloored; see SmoothingFactor)."""
     if mu.dim != X.coord_dim:
         raise ValidationError("measure does not live in the complex's ambient space")
-    if r_min is None:
-        r_min = _default_floor(X)
-    vals = _dtm_many(mu, m, X.coords)
-    return ScalarField(np.maximum(vals, r_min))
+    return ScalarField(_dtm_many(mu, m, X.coords))
 
 
-def kdist_field(X, mu, K, r_min=None):
-    """Kernel distance to mu at every vertex of X, floored at r_min."""
+def kdist_field(X, mu, K):
+    """Kernel distance to mu at every vertex of X (unfloored; see SmoothingFactor)."""
     if mu.dim != X.coord_dim:
         raise ValidationError("measure does not live in the complex's ambient space")
-    if r_min is None:
-        r_min = _default_floor(X)
-    kappa = _kappa(K, mu, mu)
-    cross = K.gram(X.coords, mu.points) @ mu.weights
-    radicand = kappa + 1.0 - 2.0 * cross
-    bad = radicand < -1e-12
-    if np.any(bad):
-        raise GuardViolation("kernel radicand below tolerance at a vertex")
-    vals = np.sqrt(np.clip(radicand, 0.0, None))
-    return ScalarField(np.maximum(vals, r_min))
+    return ScalarField(_kdist_many(mu, K, X.coords))

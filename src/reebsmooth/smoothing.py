@@ -32,7 +32,7 @@ from .complexes import (
 )
 from .complexes import thicken_global, thicken_local  # noqa: F401  unused; traced by perfbench/tracer.py
 from .errors import ValidationError
-from .measures import KernelSpec, _default_floor, dtm_field, kdist_field
+from .measures import KernelSpec, dtm_field, kdist_field
 from .reeb import ReebGraph, realize_as_complex, window_reeb_graph
 from .reeb import reeb_graph  # noqa: F401  unused; traced by perfbench/tracer.py
 
@@ -42,6 +42,11 @@ def clamp_projection(t, r):
     t = np.asarray(t, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     return np.clip(t, -r, r)
+
+
+def _default_floor(X):
+    d = X.domain_diameter()
+    return 1e-6 * d if d > 0 else 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,9 +86,9 @@ class SmoothingFactor:
             if measure is None:
                 raise ValidationError(f"{self.kind} smoothing factor needs a measure")
             if self.kind == "dtm":
-                raw = dtm_field(X, measure, self.param, r_min=0.0).values
+                raw = dtm_field(X, measure, self.param).values
             else:
-                raw = kdist_field(X, measure, KernelSpec(self.param), r_min=0.0).values
+                raw = kdist_field(X, measure, KernelSpec(self.param)).values
         return ScalarField(np.maximum(self.scale * raw, floor))
 
 

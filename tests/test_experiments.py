@@ -90,6 +90,28 @@ def test_fig4_fixture_loads_and_crossover_holds():
     assert report["qualitative_pass"]
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"scales": []},
+        {"scales": 3},
+        {"scales": "abc"},
+        {"scales": [0.5, -1.0]},
+        {"scales": [float("inf")]},
+        {"scales": [True]},
+        {"mass": "abc"},
+        {"mass": 0.0},
+        {"mass": 1.5},
+        {"bandwidth": 0.0},
+        {"bandwidth": float("nan")},
+        {"kernel_scale_base": -0.1},
+    ],
+)
+def test_fig4_sweep_checks_its_arguments(kwargs):
+    with pytest.raises(ValidationError):
+        fig4_sweep(**kwargs)
+
+
 def test_fig4_large_scale_collapses_to_trees():
     report = fig4_sweep(scales=[40.0])
     row = report["rows"][0]
@@ -234,6 +256,13 @@ def test_cli_config_json_form(tmp_path):
         'mass = "half"',
         "tolerance = Infinity",
         "tolerance = -1",
+        "threads = abc",
+        "threads = 2.5",
+        "threads = -3",
+        "threads = true",
+        "meshes = []",
+        "meshes = [3.5]",
+        'meshes = "circle"',
     ],
 )
 def test_cli_stability_rejects_invalid_config_values(tmp_path, line):
@@ -241,6 +270,33 @@ def test_cli_stability_rejects_invalid_config_values(tmp_path, line):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"trials = 1\nmeshes = [\"circle\"]\n{line}\n")
     assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "smooth", "range"])
+def test_cli_config_only_on_stability_and_fig4(tmp_path, command, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("field = height\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--in", str(_write_circle(tmp_path)), "--config", str(cfg)])
+    assert exc.value.code == 2
+
+
+def test_cli_fig4_config_overrides_flags(tmp_path):
+    out = tmp_path / "fig4.json"
+    cfg = tmp_path / "fig4.cfg"
+    cfg.write_text("scales = [40.0]\n")
+    assert main(["fig4", "--scales", "0.5", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["scales"] == [40.0]
+
+
+@pytest.mark.parametrize("line", ["masss = 0.1", "scales = 3", 'mass = "abc"', "bandwidth = -1"])
+def test_cli_fig4_rejects_invalid_config(tmp_path, line, capsys):
+    out = tmp_path / "fig4.json"
+    cfg = tmp_path / "fig4.cfg"
+    cfg.write_text(f"{line}\n")
+    assert main(["fig4", "--config", str(cfg), "--out", str(out)]) == 3
+    assert line.split()[0] in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -25,6 +25,7 @@ from reebsmooth.measures import (
     ks_distance,
     quantile_radius,
     wasserstein2,
+    _sqrt_clamped,
 )
 from reebsmooth.meshes import circle_complex
 
@@ -110,6 +111,26 @@ def test_kdist_two_point_hand_sum():
     cross = 0.5 * (k(0, -1) + k(0, 1))
     expected = np.sqrt(kappa_mm + kappa_xx - 2.0 * cross)
     assert kdist_to_measure(mu, KernelSpec(sigma), x) == pytest.approx(expected, abs=1e-12)
+
+
+def test_kdist_field_is_kdist_to_measure_at_each_vertex():
+    rng = np.random.default_rng(3)
+    X, _ = circle_complex(12)
+    for sigma in (0.05, 0.5, 3.0):
+        mu = EmpiricalMeasure.from_raw(rng.normal(size=(7, 2)), rng.uniform(0.1, 1.0, 7))
+        K = KernelSpec(sigma)
+        at_vertices = [kdist_to_measure(mu, K, x) for x in X.coords]
+        # one formula; a matrix-vector product may sum in another order
+        np.testing.assert_allclose(kdist_field(X, mu, K).values, at_vertices, rtol=1e-14, atol=0)
+
+
+def test_kernel_radicand_guard():
+    # rounding may leave a radicand a hair below 0; further below is a fault
+    assert _sqrt_clamped(-1e-13) == 0.0
+    assert _sqrt_clamped(np.array([4.0, -1e-13])).tolist() == [2.0, 0.0]
+    for bad in (-1e-11, np.array([1.0, -1e-11])):
+        with pytest.raises(GuardViolation):
+            _sqrt_clamped(bad)
 
 
 def test_kernel_distance_dirac_pair_closed_form():
@@ -289,7 +310,7 @@ def test_dtm_field_small_mass_near_support():
     # mass concentrated at each vertex: tiny m sees only the nearest point
     X, _ = circle_complex(16)
     mu = EmpiricalMeasure.from_raw(X.coords, np.ones(X.n_vertices))
-    fld = dtm_field(X, mu, 1.0 / X.n_vertices, r_min=0.0)
+    fld = dtm_field(X, mu, 1.0 / X.n_vertices)
     assert float(np.max(fld.values)) <= 1e-12
 
 
@@ -298,7 +319,7 @@ def test_kdist_field_far_dirac_limit():
     X, _ = circle_complex(8)
     sigma = 0.05
     mu = EmpiricalMeasure(np.array([[100.0, 0.0]]), np.array([1.0]))
-    fld = kdist_field(X, mu, KernelSpec(sigma), r_min=0.0)
+    fld = kdist_field(X, mu, KernelSpec(sigma))
     assert np.allclose(fld.values, np.sqrt(2.0), atol=1e-6)
 
 

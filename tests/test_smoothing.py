@@ -297,6 +297,43 @@ def test_windowed_smoothing_of_a_reeb_graph_domain(seed, radii):
     _assert_matches_thickening(G, smooth_global(g, None, 0.5), thicken_global(G, values, 0.5))
 
 
+def _assert_commutes_with_the_quotient(X, f, eps):
+    direct = smooth_global(X, f, eps)
+    via_quotient = smooth_global(reeb_graph(X, f), None, eps)
+    assert np.sort(direct.node_values).tobytes() == np.sort(via_quotient.node_values).tobytes()
+    assert _edge_value_pairs(direct).tobytes() == _edge_value_pairs(via_quotient).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["mixed", "sparse", "vertices"]),
+    st.sampled_from([None, None, 4]),
+)
+def test_smoothing_commutes_with_the_quotient(seed, shape, quantize):
+    """Smoothing X by eps gives the graph that smoothing its Reeb graph R_f does.
+
+    The quotient X -> R_f has connected fibres and preserves f, so
+    X x [-eps, eps] -> R_f x [-eps, eps] has connected fibres and preserves
+    f + t (de Silva, Munch & Patel, "Categorified Reeb graphs", DCG 2016).
+    This holds for radii that are constant on each level-set component, such
+    as a constant eps; it does not hold for dtm or kernel radii in general,
+    which vary along a component.
+    """
+    rng = np.random.default_rng(seed)
+    X = _random_domain(rng, shape)
+    f = random_field(rng, X, quantize=quantize)
+    # radii on the quantized field's 0.25 grid make f - eps and f + eps tie
+    for eps in (0.125, 0.25, 0.5, float(rng.uniform(0.05, 1.5))):
+        _assert_commutes_with_the_quotient(X, f, eps)
+
+
+def test_smoothing_commutes_with_the_quotient_on_the_meshes():
+    for X, f in (circle_complex(32), three_loop_rig()):
+        for eps in (0.03, 0.1, 0.3, 0.9, 1.1):
+            _assert_commutes_with_the_quotient(X, f, eps)
+
+
 def test_windowed_smoothing_on_the_meshes():
     rng = np.random.default_rng(4)
     for X, f in (circle_complex(32), three_loop_rig(), torus_mesh(8, 8)):
