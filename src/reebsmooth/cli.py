@@ -15,8 +15,8 @@ otherwise), "csv:<path>" (one value per line), "json:<path>"
 ({"vertex_values": [...]}), or an arithmetic expression in x, y, z such as
 "x*x + sin(y)".
 
-The stability and fig4 subcommands take a --config file (JSON object or
-"key = value" lines) whose keys override their flags.
+The stability subcommand takes a --config file (JSON object or
+"key = value" lines) whose keys override its flags.
 Exit codes: 0 success, 2 parse error, 3 guard or validation error.
 """
 
@@ -32,7 +32,6 @@ from .complexes import ScalarField, height_field
 from .errors import GuardViolation, ParseError, ValidationError
 from .experiments import (
     ExperimentConfig,
-    FIG4_DEFAULTS,
     REPORT_VERSION,
     fig4_sweep,
     report_to_json,
@@ -183,8 +182,6 @@ def cmd_stability(args):
         "trials": args.trials,
         "seed": args.seed,
     }
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     if args.config:
         cfg.update(load_config(args.config))
     config = ExperimentConfig.from_dict(cfg)
@@ -205,12 +202,6 @@ def cmd_fig4(args):
             kwargs["scales"] = [float(s) for s in args.scales.split(",")]
         except ValueError:
             raise ParseError(f"bad --scales list: {args.scales!r}") from None
-    if args.config:
-        config = load_config(args.config)
-        bad = set(config) - set(FIG4_DEFAULTS)
-        if bad:
-            raise ValidationError(f"unknown config keys: {sorted(bad)}")
-        kwargs.update(config)
     report = fig4_sweep(**kwargs)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -271,7 +262,6 @@ def _build_parser():
     p.add_argument("--mode", choices=("dtm", "kernel", "range"), default="dtm")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None, help="key-value file overriding flags")
     p.set_defaults(func=cmd_stability)
@@ -280,7 +270,6 @@ def _build_parser():
     p.add_argument("--scales", default=None, help="comma-separated scale multipliers")
     p.add_argument("--out", default=None)
     p.add_argument("--dot", default=None, help="prefix for DOT exports of the crossover graphs")
-    p.add_argument("--config", default=None, help="key-value file overriding flags")
     p.set_defaults(func=cmd_fig4)
     return parser
 
