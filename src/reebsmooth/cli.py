@@ -33,7 +33,9 @@ from .errors import GuardViolation, ParseError, ValidationError
 from .experiments import (
     ExperimentConfig,
     REPORT_VERSION,
+    fig4_graphs,
     fig4_sweep,
+    load_fig4_fixture,
     report_to_json,
     run_stability,
 )
@@ -135,23 +137,20 @@ def cmd_build(args):
 def cmd_smooth(args):
     X, f = _mesh_and_field(args)
     measure = load_weighted_points(args.measure) if args.measure else None
-    factors = []
-    if args.eps is not None:
-        factors.append(SmoothingFactor("constant", args.eps, r_min=args.rmin))
-    if args.dtm is not None:
-        factors.append(SmoothingFactor("dtm", args.dtm, r_min=args.rmin))
-    if args.kernel is not None:
-        factors.append(SmoothingFactor("kernel", args.kernel, r_min=args.rmin))
+    factors = [
+        SmoothingFactor(kind, param)
+        for kind, param in (("constant", args.eps), ("dtm", args.dtm), ("kernel", args.kernel))
+        if param is not None
+    ]
     if not factors:
         raise ValidationError("smooth needs one of --eps, --dtm, --kernel")
     if len(factors) > 2:
         raise ValidationError("smooth takes at most two factor flags")
-    graph = smooth_local(X, f, factors[-1], measure)
+    radii = [factor.resolve(X, measure) for factor in factors]
+    graph = smooth_local(X, f, radii[-1])
     extra = {}
-    if len(factors) == 2:
-        r1 = factors[0].resolve(X, measure)
-        r2 = factors[1].resolve(X, measure)
-        pair = build_local_interleaving(X, f, r1, r2)
+    if len(radii) == 2:
+        pair = build_local_interleaving(X, f, *radii)
         extra["interleaving"] = {
             "eps": pair.eps,
             "function_preservation": verify_function_preservation(pair),
@@ -197,7 +196,7 @@ def cmd_stability(args):
 
 def cmd_fig4(args):
     kwargs = {}
-    if args.scales:
+    if args.scales is not None:
         try:
             kwargs["scales"] = [float(s) for s in args.scales.split(",")]
         except ValueError:
@@ -210,16 +209,9 @@ def cmd_fig4(args):
     else:
         sys.stdout.write(text)
     if args.dot:
-        from .experiments import load_fig4_fixture
-
-        X, f, mu = load_fig4_fixture()
         pick = report["crossover_scales"]
         scale = pick[0] if pick else report["config"]["scales"][0]
-        for kind, param, eff in (
-            ("dtm", report["config"]["mass"], scale),
-            ("kernel", report["config"]["bandwidth"], scale * report["config"]["kernel_scale_base"]),
-        ):
-            graph = smooth_local(X, f, SmoothingFactor(kind, param, scale=eff), mu)
+        for kind, graph in fig4_graphs(load_fig4_fixture(), scale).items():
             with open(f"{args.dot}.{kind}.dot", "w", encoding="utf-8") as fh:
                 fh.write(to_dot(graph))
     return 0
@@ -251,7 +243,6 @@ def _build_parser():
     p.add_argument("--eps", type=float, default=None, help="constant smoothing radius")
     p.add_argument("--dtm", type=float, default=None, metavar="M", help="distance-to-measure factor")
     p.add_argument("--kernel", type=float, default=None, metavar="SIGMA", help="kernel-distance factor")
-    p.add_argument("--rmin", type=float, default=None, help="radius floor")
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("range", help="range-integrated Reeb graph")

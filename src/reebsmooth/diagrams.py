@@ -53,27 +53,6 @@ class PersistenceDiagram:
     def group(self, dim, cls):
         return [p for p in self.points if p.dim == dim and p.cls == cls]
 
-    def groups(self):
-        keys = sorted({(p.dim, p.cls) for p in self.points})
-        return {k: self.group(*k) for k in keys}
-
-    def to_dict(self):
-        return {
-            "points": [
-                {"birth": p.birth, "death": p.death, "dim": p.dim, "class": p.cls}
-                for p in self.points
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            tuple(
-                DiagramPoint(float(p["birth"]), float(p["death"]), int(p["dim"]), p["class"])
-                for p in data["points"]
-            )
-        )
-
 
 def extended_persistence(graph):
     """Extended persistence diagram of a Reeb graph's value function.

@@ -302,6 +302,23 @@ def _classify_loops(diagram):
     return sorted(names)
 
 
+def fig4_graphs(fixture, scale):
+    """The fixture's Reeb graphs smoothed at one scale, by kind ("dtm", "kernel").
+
+    `fixture` is `load_fig4_fixture()`.  The dtm factor uses the scale as is,
+    the kernel factor the scale times FIG4_DEFAULTS["kernel_scale_base"].
+    """
+    X, f, mu = fixture
+    s = float(scale)
+    factors = {
+        "dtm": SmoothingFactor("dtm", FIG4_DEFAULTS["mass"], scale=s),
+        "kernel": SmoothingFactor(
+            "kernel", FIG4_DEFAULTS["bandwidth"], scale=s * FIG4_DEFAULTS["kernel_scale_base"]
+        ),
+    }
+    return {kind: smooth_local(X, f, factor, mu) for kind, factor in factors.items()}
+
+
 def fig4_sweep(scales=FIG4_DEFAULTS["scales"]):
     """Scan smoothing scales on the three-loop fixture under both factors.
 
@@ -313,22 +330,14 @@ def fig4_sweep(scales=FIG4_DEFAULTS["scales"]):
     scales = tuple(scales) if np.iterable(scales) else ()
     if not (scales and all(_finite(s) and s > 0 for s in scales)):
         raise ValidationError("scales must be a non-empty list of finite positive numbers")
-    mass = FIG4_DEFAULTS["mass"]
-    bandwidth = FIG4_DEFAULTS["bandwidth"]
-    kernel_scale_base = FIG4_DEFAULTS["kernel_scale_base"]
-    X, f, mu = load_fig4_fixture()
+    fixture = load_fig4_fixture()
     rows = []
     for s in scales:
         row = {"scale": float(s)}
-        for kind, param, eff in (
-            ("dtm", mass, float(s)),
-            ("kernel", bandwidth, float(s) * kernel_scale_base),
-        ):
-            graph = smooth_local(X, f, SmoothingFactor(kind, param, scale=eff), mu)
-            dgm = extended_persistence(graph)
+        for kind, graph in fig4_graphs(fixture, s).items():
             row[kind] = {
                 "betti1": int(graph.betti1()),
-                "loops": _classify_loops(dgm),
+                "loops": _classify_loops(extended_persistence(graph)),
             }
         rows.append(row)
     kernel_a_not_b = [
@@ -358,9 +367,9 @@ def fig4_sweep(scales=FIG4_DEFAULTS["scales"]):
     return {
         "version": REPORT_VERSION,
         "config": {
-            "mass": mass,
-            "bandwidth": bandwidth,
-            "kernel_scale_base": kernel_scale_base,
+            "mass": FIG4_DEFAULTS["mass"],
+            "bandwidth": FIG4_DEFAULTS["bandwidth"],
+            "kernel_scale_base": FIG4_DEFAULTS["kernel_scale_base"],
             "scales": [float(s) for s in scales],
         },
         "rows": rows,

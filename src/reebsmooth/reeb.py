@@ -68,9 +68,6 @@ class ReebGraph:
     def up_degrees(self):
         return np.bincount(self.edges[:, 0], minlength=self.n_nodes)
 
-    def degrees(self):
-        return self.down_degrees() + self.up_degrees()
-
     def component_count(self):
         return int(_components(self.n_nodes, self.edges[:, 0], self.edges[:, 1])[0])
 

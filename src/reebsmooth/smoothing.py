@@ -56,14 +56,14 @@ class SmoothingFactor:
     kind "constant" uses param as the radius; "dtm" uses the distance to a
     measure with mass parameter param; "kernel" uses the kernel distance to a
     measure with Gaussian bandwidth param.  The resolved field is scale times
-    the raw values, floored at r_min (default 1e-6 times the domain diameter)
-    so radii stay strictly positive.
+    the raw values.  dtm and kernel radii are floored at 1e-6 times the
+    domain diameter, since a vertex on the measure's support may get 0;
+    a constant radius is positive already and is not floored.
     """
 
     kind: str
     param: float
     scale: float = 1.0
-    r_min: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("constant", "dtm", "kernel"):
@@ -74,22 +74,18 @@ class SmoothingFactor:
             raise ValidationError("dtm mass parameter must lie in (0, 1]")
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValidationError("smoothing scale must be positive")
-        if self.r_min is not None and self.r_min < 0:
-            raise ValidationError("r_min must be nonnegative")
 
     def resolve(self, X, measure=None):
         """Per-vertex radius field on X (requires a measure except for constant)."""
-        floor = self.r_min if self.r_min is not None else _default_floor(X)
         if self.kind == "constant":
-            raw = np.full(X.n_vertices, self.param)
+            return ScalarField(np.full(X.n_vertices, self.scale * self.param))
+        if measure is None:
+            raise ValidationError(f"{self.kind} smoothing factor needs a measure")
+        if self.kind == "dtm":
+            raw = dtm_field(X, measure, self.param).values
         else:
-            if measure is None:
-                raise ValidationError(f"{self.kind} smoothing factor needs a measure")
-            if self.kind == "dtm":
-                raw = dtm_field(X, measure, self.param).values
-            else:
-                raw = kdist_field(X, measure, KernelSpec(self.param)).values
-        return ScalarField(np.maximum(self.scale * raw, floor))
+            raw = kdist_field(X, measure, KernelSpec(self.param)).values
+        return ScalarField(np.maximum(self.scale * raw, _default_floor(X)))
 
 
 def _coerce_domain(domain, f):
@@ -185,14 +181,9 @@ def build_local_interleaving(X, f, r1, r2):
     thickenings' vertex tables are built, never their triangulations.
     """
     f, r1, r2 = (as_scalar_field(x) for x in (f, r1, r2))
-    for r in (r1, r2):
-        if len(r.values) != X.n_vertices:
-            raise ValidationError("radius field length mismatch")
-        if np.any(r.values <= 0):
-            raise ValidationError("radii must be strictly positive")
-    eps = float(np.abs(r1.values - r2.values).max())
     base1, t1, field1 = thickened_vertices(X, f, r1.values)
     base2, t2, field2 = thickened_vertices(X, f, r2.values)
+    eps = float(np.abs(r1.values - r2.values).max())
     fwd = _local_direction(base1, t1, r2.values)
     bwd = _local_direction(base2, t2, r1.values)
     for vm in (fwd, bwd):

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,15 +12,18 @@ import numpy as np
 import pytest
 
 import reebsmooth
-from reebsmooth.cli import main
+from reebsmooth.cli import _build_parser, main
 from reebsmooth.errors import ValidationError
 from reebsmooth.experiments import (
+    FIG4_DEFAULTS,
     ExperimentConfig,
     fig4_sweep,
     load_fig4_fixture,
     report_to_json,
     run_stability,
 )
+from reebsmooth.fileio import to_dot
+from reebsmooth.smoothing import SmoothingFactor, smooth_local
 
 
 def small_config(**over):
@@ -184,6 +188,26 @@ def test_cli_smooth_interleaving_report(tmp_path):
     assert payload["interleaving"]["commutativity"]["passed"]
 
 
+def test_cli_smooth_resolves_each_factor_once(tmp_path, monkeypatch):
+    mesh = _write_circle(tmp_path)
+    mu = tmp_path / "mu.csv"
+    mu.write_text("1.0,0.0,1.0\n0.0,1.0,2.0\n-1.0,0.0,1.0\n")
+    calls = []
+    resolve = SmoothingFactor.resolve
+
+    def counted(self, X, measure=None):
+        calls.append(self.kind)
+        return resolve(self, X, measure)
+
+    monkeypatch.setattr(SmoothingFactor, "resolve", counted)
+    out = tmp_path / "s.json"
+    argv = ["smooth", "--in", str(mesh), "--dtm", "0.2", "--kernel", "0.4",
+            "--measure", str(mu), "--out", str(out)]
+    assert main(argv) == 0
+    assert calls == ["dtm", "kernel"]
+    assert json.loads(out.read_text())["interleaving"]["commutativity"]["passed"]
+
+
 def test_cli_smooth_needs_factor(tmp_path, capsys):
     mesh = _write_circle(tmp_path)
     assert main(["smooth", "--in", str(mesh)]) == 3
@@ -265,6 +289,7 @@ def test_cli_stability_rejects_invalid_config_values(tmp_path, line):
         ["range", "--in", "mesh.json", "--config", "exp.cfg"],
         ["fig4", "--config", "exp.cfg"],
         ["stability", "--threads", "2"],
+        ["smooth", "--rmin", "1e-6", "--in", "mesh.json", "--eps", "0.3"],
     ],
 )
 def test_cli_removed_flags_are_argparse_errors(argv, capsys):
@@ -279,8 +304,41 @@ def test_cli_fig4_report_and_dot(tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["version"] == 1
-    assert (tmp_path / "f4.dtm.dot").exists()
-    assert (tmp_path / "f4.kernel.dot").exists()
+    assert report["crossover_scales"] == [2.25]
+    # the DOT files are the fixture's graphs at the crossover scale
+    X, f, mu = load_fig4_fixture()
+    factors = {
+        "dtm": SmoothingFactor("dtm", FIG4_DEFAULTS["mass"], scale=2.25),
+        "kernel": SmoothingFactor(
+            "kernel", FIG4_DEFAULTS["bandwidth"], scale=2.25 * FIG4_DEFAULTS["kernel_scale_base"]
+        ),
+    }
+    for kind, factor in factors.items():
+        expected = to_dot(smooth_local(X, f, factor, mu))
+        assert (tmp_path / f"f4.{kind}.dot").read_text() == expected
+
+
+@pytest.mark.parametrize("scales", ["", ",", "0.5,x"])
+def test_cli_fig4_rejects_bad_scale_lists(scales, capsys):
+    assert main(["fig4", "--scales", scales]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad --scales list" in captured.err
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [line for line in text.splitlines() if line.startswith("reebsmooth ")]
+
+
+def test_readme_cli_lines_parse():
+    # a flag removed from the parser cannot stay documented
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    parser = _build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
 
 
 def _project_scripts():

@@ -157,6 +157,24 @@ def test_local_interleaving_reads_the_thickening_vertex_table():
             assert np.array_equal(field, thick.field.values)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda n: np.full(n - 1, 0.3),
+        lambda n: np.zeros(n),
+        lambda n: np.full(n, -0.3),
+        lambda n: np.where(np.arange(n) == 2, np.nan, 0.3),
+    ],
+    ids=["misaligned", "zero", "negative", "nan"],
+)
+def test_local_interleaving_rejects_bad_radii(bad):
+    X, f = circle_complex(12)
+    good = np.full(X.n_vertices, 0.3)
+    for r1, r2 in ((bad(X.n_vertices), good), (good, bad(X.n_vertices))):
+        with pytest.raises(ValidationError):
+            build_local_interleaving(X, f, r1, r2)
+
+
 def test_ambient_interleaving_identity_and_random():
     X, f = torus_mesh(6, 6)
     pair0 = build_ambient_interleaving(X, f, f)
@@ -216,6 +234,18 @@ def test_measure_driven_factors_resolve_and_smooth():
         assert g.n_nodes >= 2
     with pytest.raises(ValidationError):
         SmoothingFactor("dtm", 0.2).resolve(X)  # needs the measure
+
+
+def test_constant_factor_is_not_floored():
+    # 1e-9 is below the dtm/kernel radius floor (1e-6 times the diameter, 2e-6
+    # here); a constant radius is used as given, as smooth_global uses eps
+    X, f = circle_complex(24)
+    local = smooth_local(X, f, SmoothingFactor("constant", 1e-9))
+    glob = smooth_global(X, f, 1e-9)
+    assert np.array_equal(local.node_values, glob.node_values)
+    assert np.array_equal(local.node_reps, glob.node_reps)
+    assert np.array_equal(local.edges, glob.edges)
+    assert local.node_values.max() == 1.0 + 1e-9
 
 
 def test_smoothing_factor_validation():
