@@ -17,13 +17,13 @@ otherwise), "csv:<path>" (one value per line), "json:<path>"
 
 The stability subcommand takes a --config file (JSON object or
 "key = value" lines) whose keys override its flags.
-Exit codes: 0 success, 2 parse error, 3 guard or validation error.
+Exit codes: 0 success, 2 parse error, 3 guard or validation error, 4 a
+stability report with violations (the report is still written).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -36,7 +36,6 @@ from .experiments import (
     fig4_graphs,
     fig4_sweep,
     load_fig4_fixture,
-    report_to_json,
     run_stability,
 )
 from .fileio import (
@@ -107,22 +106,22 @@ def _field_from_spec(spec, X, embedded):
     for axis, label in enumerate("xyz"[: X.coord_dim]):
         names[label] = X.coords[:, axis]
     try:
-        vals = eval(spec, {"__builtins__": {}}, names)  # noqa: S307 - sandboxed names
+        vals = np.asarray(eval(spec, {"__builtins__": {}}, names))  # noqa: S307 - sandboxed names
     except Exception as exc:
         raise ParseError(f"bad field expression {spec!r}: {exc}") from None
-    vals = np.broadcast_to(np.asarray(vals, dtype=np.float64), (X.n_vertices,)).copy()
-    return ScalarField(vals)
+    if vals.dtype.kind not in "biuf" or vals.shape not in ((), (1,), (X.n_vertices,)):
+        raise ParseError(
+            f"field expression {spec!r} gives {vals.dtype} values of shape {vals.shape}, "
+            f"not one real number per vertex ({X.n_vertices})"
+        )
+    return ScalarField(np.broadcast_to(vals, (X.n_vertices,)).astype(np.float64))
 
 
 def _emit(graph, args, extra=None):
     payload = {"version": REPORT_VERSION, "graph": graph.to_dict()}
     if extra:
         payload.update(extra)
-    if args.out:
-        dump_json(payload, args.out)
-    else:
-        json.dump(payload, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+    dump_json(payload, args.out)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(graph))
@@ -185,13 +184,8 @@ def cmd_stability(args):
         cfg.update(load_config(args.config))
     config = ExperimentConfig.from_dict(cfg)
     report = run_stability(config)
-    text = report_to_json(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    dump_json(report, args.out)
+    return 4 if report["violations"] else 0
 
 
 def cmd_fig4(args):
@@ -202,12 +196,7 @@ def cmd_fig4(args):
         except ValueError:
             raise ParseError(f"bad --scales list: {args.scales!r}") from None
     report = fig4_sweep(**kwargs)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    dump_json(report, args.out)
     if args.dot:
         pick = report["crossover_scales"]
         scale = pick[0] if pick else report["config"]["scales"][0]

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import GuardViolation, ValidationError
 
 BOTTLENECK_MAX_POINTS = 128
-DEFAULT_PROXY_FACTOR = 5.0
+PROXY_FACTOR = 5.0  # see interleaving_lower_bound
 
 
 @dataclass(frozen=True)
@@ -187,16 +187,16 @@ def bottleneck(d1, d2):
     )
 
 
-def interleaving_lower_bound(g1, g2, proxy_factor=DEFAULT_PROXY_FACTOR):
+def interleaving_lower_bound(g1, g2):
     """A certified lower bound on the interleaving distance of two Reeb graphs.
 
     The bottleneck distance of extended persistence diagrams rises at most a
     fixed factor faster than the interleaving distance, so dividing by that
     factor gives a one-sided bound usable in stability checks.
 
-    The default factor 5 is the Reeb-graph stability theorem of Botnan and
-    Lesnick ("Algebraic stability of zigzag persistence modules", Algebr.
-    Geom. Topol. 18, 2018), a corollary of their algebraic stability
+    The factor PROXY_FACTOR = 5 is the Reeb-graph stability theorem of
+    Botnan and Lesnick ("Algebraic stability of zigzag persistence modules",
+    Algebr. Geom. Topol. 18, 2018), a corollary of their algebraic stability
     theorem for zigzag modules: the bottleneck distance between the extended
     persistence diagrams of two Reeb graphs is at most 5 times their
     interleaving distance.  It tightens the earlier bound of Bauer, Munch
@@ -205,4 +205,4 @@ def interleaving_lower_bound(g1, g2, proxy_factor=DEFAULT_PROXY_FACTOR):
     """
     d1 = extended_persistence(g1)
     d2 = extended_persistence(g2)
-    return bottleneck(d1, d2) / proxy_factor
+    return bottleneck(d1, d2) / PROXY_FACTOR

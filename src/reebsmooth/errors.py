@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: ParseError -> 2, GuardViolation and
-ValidationError -> 3.
+ValidationError -> 3.  A stability report with violations exits 4 (it is
+not an error: the report is still written).
 """
 
 

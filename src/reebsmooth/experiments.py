@@ -25,7 +25,7 @@ from importlib.resources import files
 import numpy as np
 
 from .complexes import height_field
-from .diagrams import DEFAULT_PROXY_FACTOR, extended_persistence, interleaving_lower_bound
+from .diagrams import extended_persistence, interleaving_lower_bound
 from .errors import ValidationError
 from .fileio import complex_from_dict, load_mesh, parse_weighted_points
 from .measures import (
@@ -43,6 +43,7 @@ from .smoothing import SmoothingFactor, smooth_local
 
 MODES = ("dtm", "kernel", "range")
 REPORT_VERSION = 1
+TOLERANCE = 1e-9  # a trial passes when its lower bound is at most upper bound + this
 
 _MESH_BUILDERS = {
     "circle": lambda: circle_complex(48),
@@ -53,13 +54,13 @@ _MESH_CACHE = {}
 
 
 def _mesh(name):
-    """Built-in mesh by name, or a mesh file path (.off or complex JSON)."""
+    """A built-in mesh by name, built once per process, or a mesh file path
+    (.off or complex JSON), read on every call."""
+    if name not in _MESH_BUILDERS:
+        X, f = load_mesh(name)
+        return X, height_field(X) if f is None else f
     if name not in _MESH_CACHE:
-        if name in _MESH_BUILDERS:
-            _MESH_CACHE[name] = _MESH_BUILDERS[name]()
-        else:
-            X, f = load_mesh(name)
-            _MESH_CACHE[name] = (X, height_field(X) if f is None else f)
+        _MESH_CACHE[name] = _MESH_BUILDERS[name]()
     return _MESH_CACHE[name]
 
 
@@ -81,8 +82,6 @@ class ExperimentConfig:
     bandwidth: float = 0.5
     bump_amplitude: float = 0.15
     jitter: float = 0.08
-    proxy_factor: float = DEFAULT_PROXY_FACTOR
-    tolerance: float = 1e-9
     threads: int | None = None
 
     def __post_init__(self):
@@ -98,12 +97,6 @@ class ExperimentConfig:
             raise ValidationError("support size must be an integer in [2, 32]")
         if not (_finite(self.jitter) and self.jitter >= 0):
             raise ValidationError("jitter must be finite and non-negative")
-        # a non-positive factor would flip the sign of the lower bound
-        if not (_finite(self.proxy_factor) and self.proxy_factor > 0):
-            raise ValidationError("proxy_factor must be finite and positive")
-        # an infinite tolerance would pass every trial
-        if not (_finite(self.tolerance) and self.tolerance >= 0):
-            raise ValidationError("tolerance must be finite and non-negative")
         if self.threads is not None and not (
             _finite(self.threads, numbers.Integral) and self.threads >= 1
         ):
@@ -163,10 +156,10 @@ def _interval_measure(rng, lo, hi, n):
     return EmpiricalMeasure.from_raw(pts[:, None], rng.dirichlet(np.ones(n)))
 
 
-def _run_trial(config, trial):
+def _run_trial(config, meshes, trial):
     rng = np.random.default_rng([config.seed, trial])
     mesh_name = config.meshes[trial % len(config.meshes)]
-    X, f = _mesh(mesh_name)
+    X, f = meshes[mesh_name]
     bump = _bump_field(rng, X, config.bump_amplitude)
     g_vals = f.values + bump
     gap = float(np.abs(bump).max())
@@ -211,32 +204,33 @@ def _run_trial(config, trial):
         graph1 = smooth_local(X, f, factor, mu)
         graph2 = smooth_local(X, g_vals, factor, nu)
 
-    lb = interleaving_lower_bound(graph1, graph2, config.proxy_factor)
+    lb = interleaving_lower_bound(graph1, graph2)
     return {
         "trial": trial,
         "mesh": mesh_name,
         "lower_bound": float(lb),
         "upper_bound": float(rhs),
         "terms": {k: float(v) for k, v in terms.items()},
-        "pass": bool(lb <= rhs + config.tolerance),
+        "pass": bool(lb <= rhs + TOLERANCE),
     }
 
 
 def run_stability(config):
     """Run the seeded trials; the report is deterministic for a fixed config."""
+    meshes = {name: _mesh(name) for name in config.meshes}
     workers = config.threads or 1
     indices = range(config.trials)
     if workers == 1:
-        trials = [_run_trial(config, t) for t in indices]
+        trials = [_run_trial(config, meshes, t) for t in indices]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(lambda t: _run_trial(config, t), indices))
+            trials = list(pool.map(lambda t: _run_trial(config, meshes, t), indices))
     violations = [t["trial"] for t in trials if not t["pass"]]
     # threads is an execution knob, not an experiment parameter: the report
     # must be byte-identical however the trials were scheduled
     cfg = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(config).items()}
     del cfg["threads"]
-    report = {
+    return {
         "version": REPORT_VERSION,
         "config": cfg,
         "mode": config.mode,
@@ -248,11 +242,6 @@ def run_stability(config):
         ),
         "all_pass": not violations,
     }
-    return report
-
-
-def report_to_json(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 # -- three-loop crossover sweep -------------------------------------------------

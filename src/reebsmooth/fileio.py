@@ -1,13 +1,14 @@
 """Parsers and serializers: OFF meshes, weighted point CSVs, field files,
 config files, JSON, DOT.
 
-Parse errors carry the offending line number.  All JSON writers emit sorted
-keys so outputs are byte-stable.
+Parse errors carry the offending line number.  `dump_json` is the one JSON
+writer; it emits sorted keys so outputs are byte-stable.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -34,12 +35,45 @@ def _read(path):
 
 def _content_lines(text):
     """(line_number, payload) pairs with comments and blanks dropped."""
-    out = []
-    for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((n, line))
-    return out
+    lines = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(text.splitlines(), 1))
+    return [(n, line) for n, line in lines if line]
+
+
+class _Fault(Exception):
+    """The fault of a content row; `_read_rows` adds its line."""
+
+
+def _numbers(fields, dtype, width, ragged, bad):
+    """Rows of `width` fields each as a (rows, width) array of dtype.
+
+    numpy parses a field as float() or int() would; an integer beyond int64
+    is `bad` too.
+    """
+    if set(map(len, fields)) - {width}:
+        raise _Fault(ragged)
+    try:
+        return np.array(fields, dtype=dtype).reshape(len(fields), width)
+    except (ValueError, OverflowError):
+        raise _Fault(bad) from None
+
+
+def _read_rows(rows, path, read, *args):
+    """read([fields, ...], *args) of (line_number, fields) rows.
+
+    read checks all rows at once and raises a _Fault when any row is faulty;
+    the rows are then read one by one, so the ParseError names the first
+    faulty line and that line's first fault.  Each fault must be one row's
+    own, found again when that row is read alone.
+    """
+    try:
+        return read([fields for _, fields in rows], *args)
+    except _Fault:
+        for n, fields in rows:
+            try:
+                read([fields], *args)
+            except _Fault as exc:
+                raise ParseError(str(exc), path=path, line=n) from None
+        raise
 
 
 def parse_off(data, path=None):
@@ -64,49 +98,39 @@ def parse_off(data, path=None):
         raise ParseError("counts must be integers", path=path, line=n) from None
     if nv <= 0 or nf < 0:
         raise ParseError("vertex count must be positive", path=path, line=n)
-    rows = lines[2:]
+    rows = [(n, line.split()) for n, line in lines[2:]]
     if len(rows) < nv + nf:
         raise ParseError(
             f"expected {nv} vertex and {nf} face lines, found {len(rows)}",
             path=path,
             line=lines[-1][0],
         )
-    coords = []
-    width = None
-    for n, line in rows[:nv]:
-        parts = line.split()
-        if width is None:
-            width = len(parts)
-            if width < 1 or width > 3:
-                raise ParseError("vertices need 1 to 3 coordinates", path=path, line=n)
-        if len(parts) != width:
-            raise ParseError("inconsistent vertex width", path=path, line=n)
-        try:
-            coords.append([float(p) for p in parts])
-        except ValueError:
-            raise ParseError("bad vertex coordinate", path=path, line=n) from None
-    simplices = []
-    for n, line in rows[nv : nv + nf]:
-        parts = line.split()
-        try:
-            k = int(parts[0])
-        except (ValueError, IndexError):
-            raise ParseError("face line needs a leading count", path=path, line=n) from None
-        if k < 2 or k > 4:
-            raise ParseError(f"face size {k} unsupported (2, 3, or 4)", path=path, line=n)
-        if len(parts) < 1 + k:
-            raise ParseError(f"face line promises {k} indices", path=path, line=n)
-        try:
-            idx = [int(p) for p in parts[1 : 1 + k]]
-        except ValueError:
-            raise ParseError("bad face index", path=path, line=n) from None
-        if any(i < 0 or i >= nv for i in idx):
-            raise ParseError("face index out of range", path=path, line=n)
-        if len(set(idx)) != k:
-            raise ParseError("face repeats a vertex", path=path, line=n)
-        simplices.append(tuple(idx))
-    verts = [(i, coords[i]) for i in range(nv)]
-    return SimplicialComplex.build(verts, simplices)
+    width = len(rows[0][1])
+    if width > 3:
+        raise ParseError("vertices need 1 to 3 coordinates", path=path, line=rows[0][0])
+    vertex_faults = ("inconsistent vertex width", "bad vertex coordinate")
+    coords = _read_rows(rows[:nv], path, _numbers, np.float64, width, *vertex_faults)
+
+    def faces(fields):
+        heads = [p[:1] for p in fields]
+        k = _numbers(heads, np.int64, 1, None, "face line needs a leading count")[:, 0]
+        unsupported = k[(k < 2) | (k > 4)]
+        if len(unsupported):
+            raise _Fault(f"face size {unsupported[0]} unsupported (2, 3, or 4)")
+        k, out = k.tolist(), []
+        for size in (2, 3, 4):
+            group = [p[1 : 1 + size] for p, s in zip(fields, k) if s == size]
+            promise = f"face line promises {size} indices"
+            idx = _numbers(group, np.int64, size, promise, "bad face index")
+            if np.any((idx < 0) | (idx >= nv)):
+                raise _Fault("face index out of range")
+            if np.any(np.diff(np.sort(idx), axis=1) == 0):
+                raise _Fault("face repeats a vertex")
+            out += idx.tolist()
+        return out
+
+    simplices = _read_rows(rows[nv : nv + nf], path, faces)
+    return SimplicialComplex.build(enumerate(coords.tolist()), simplices)
 
 
 def load_off(path):
@@ -130,36 +154,26 @@ def parse_weighted_points(data, path=None):
     Weights must be nonnegative with positive total; zero-weight points are
     retained with mass 0.
     """
-    lines = _content_lines(_decode(data))
-    pts = []
-    weights = []
-    width = None
-    for n, line in lines:
-        parts = [p.strip() for p in line.split(",")]
-        if width is None:
-            width = len(parts)
-            if width < 2 or width > 4:
-                raise ParseError(
-                    "rows need 1 to 3 coordinates plus a weight", path=path, line=n
-                )
-        if len(parts) != width:
-            raise ParseError("ragged row", path=path, line=n)
-        try:
-            nums = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError("bad number", path=path, line=n) from None
-        if not all(np.isfinite(nums)):
-            raise ParseError("values must be finite", path=path, line=n)
-        if nums[-1] < 0:
-            raise ParseError("negative weight", path=path, line=n)
-        pts.append(nums[:-1])
-        weights.append(nums[-1])
-    if not pts:
+    rows = [(n, line.split(",")) for n, line in _content_lines(_decode(data))]
+    if not rows:
         raise ParseError("no data rows", path=path, line=1)
-    total = float(np.sum(weights))
+    width = len(rows[0][1])
+    if width < 2 or width > 4:
+        raise ParseError("rows need 1 to 3 coordinates plus a weight", path=path, line=rows[0][0])
+
+    def read(fields):
+        table = _numbers(fields, np.float64, width, "ragged row", "bad number")
+        if not np.all(np.isfinite(table)):
+            raise _Fault("values must be finite")
+        if np.any(table[:, -1] < 0):
+            raise _Fault("negative weight")
+        return table
+
+    table = _read_rows(rows, path, read)
+    total = float(np.sum(table[:, -1]))
     if total <= 0:
-        raise ParseError("total weight must be positive", path=path, line=lines[-1][0])
-    return EmpiricalMeasure(np.asarray(pts), np.asarray(weights) / total)
+        raise ParseError("total weight must be positive", path=path, line=rows[-1][0])
+    return EmpiricalMeasure(table[:, :-1], table[:, -1] / total)
 
 
 def load_weighted_points(path):
@@ -168,13 +182,8 @@ def load_weighted_points(path):
 
 def load_field_csv(path):
     """One field value per content line of a text file, as a float array."""
-    vals = []
-    for n, line in _content_lines(_decode(_read(path))):
-        try:
-            vals.append(float(line))
-        except ValueError:
-            raise ParseError("bad field value", path=path, line=n) from None
-    return np.asarray(vals, dtype=np.float64)
+    rows = [(n, [line]) for n, line in _content_lines(_decode(_read(path)))]
+    return _read_rows(rows, path, _numbers, np.float64, 1, None, "bad field value")[:, 0]
 
 
 # -- JSON schemas ----------------------------------------------------------------
@@ -278,10 +287,15 @@ def load_config(path):
     return out
 
 
-def dump_json(obj, path):
+def dump_json(obj, path=None):
+    """obj as sorted, indented JSON and a newline: to the file at path, or to
+    stdout when path is None or empty."""
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 # -- DOT -------------------------------------------------------------------------

@@ -110,10 +110,16 @@ def reeb_graph(X, f):
     Exact on the given float values: no perturbation, ties and plateaus are
     handled by the grouped-level sweep.
     """
+    values = _field_values(X, f)
+    return window_reeb_graph(X, values, values)
+
+
+def _field_values(X, f):
+    """The values of the scalar field f, checked to be one per vertex of X."""
     values = as_scalar_field(f).values
     if len(values) != X.n_vertices:
         raise ValidationError("field length does not match vertex count")
-    return window_reeb_graph(X, values, values)
+    return values
 
 
 def window_reeb_graph(X, lo, hi):
@@ -187,7 +193,7 @@ def level_components(X, f, c):
     Independent of the sweep's levels, windows and contraction: one value,
     one connectivity pass.
     """
-    values = as_scalar_field(f).values
+    values = _field_values(X, f)
     blocks, _, pair_a, pair_b = X.face_table
     vmin, vmax = _value_extents(blocks, values, values)
     c = float(c)

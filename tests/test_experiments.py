@@ -19,11 +19,14 @@ from reebsmooth.experiments import (
     ExperimentConfig,
     fig4_sweep,
     load_fig4_fixture,
-    report_to_json,
     run_stability,
 )
 from reebsmooth.fileio import to_dot
 from reebsmooth.smoothing import SmoothingFactor, smooth_local
+
+
+def report_text(report):
+    return json.dumps(report, sort_keys=True, indent=2)
 
 
 def small_config(**over):
@@ -43,21 +46,25 @@ def test_config_validation():
         ExperimentConfig.from_dict({"meshes": ("nonexistent_mesh",)})
     with pytest.raises(ValidationError):
         ExperimentConfig.from_dict({"unknown_key": 1})
+    # the proxy factor and the pass tolerance are constants, not keys
+    for key, value in (("proxy_factor", 5.0), ("tolerance", 1e-9)):
+        with pytest.raises(ValidationError, match="unknown config keys"):
+            ExperimentConfig.from_dict({key: value})
 
 
 def test_reports_byte_identical_across_thread_counts():
-    a = report_to_json(run_stability(small_config(threads=1)))
-    b = report_to_json(run_stability(small_config(threads=3)))
+    a = report_text(run_stability(small_config(threads=1)))
+    b = report_text(run_stability(small_config(threads=3)))
     assert a == b
 
 
 def test_reports_deterministic_across_runs():
     cfg = small_config(mode="kernel", trials=3)
-    assert report_to_json(run_stability(cfg)) == report_to_json(run_stability(cfg))
+    assert report_text(run_stability(cfg)) == report_text(run_stability(cfg))
 
 
 def test_zero_perturbation_gives_zero_lower_bound():
-    # g = f and nu = mu: identical graphs, LB exactly 0 <= tolerance
+    # g = f and nu = mu: identical graphs, LB exactly 0
     for mode in ("dtm", "kernel", "range"):
         cfg = small_config(mode=mode, trials=2, bump_amplitude=0.0, jitter=0.0)
         report = run_stability(cfg)
@@ -79,6 +86,7 @@ def test_report_schema_fields():
     report = run_stability(small_config(trials=2))
     assert report["version"] == 1
     assert "threads" not in report["config"]
+    assert not {"proxy_factor", "tolerance"} & set(report["config"])
     assert set(report) >= {"version", "config", "trials", "violations", "max_excess", "all_pass"}
     t = report["trials"][0]
     assert set(t) >= {"trial", "mesh", "lower_bound", "upper_bound", "pass"}
@@ -172,6 +180,19 @@ def test_cli_build_field_expression(tmp_path):
     assert vals[-1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("spec", ["x[:3]", "'a'", "[1,2]", "x.reshape(3,4)", "x+1j", "sin"])
+def test_cli_field_expression_must_give_one_real_per_vertex(tmp_path, capsys, spec):
+    from reebsmooth.fileio import complex_to_dict, dump_json
+    from reebsmooth.meshes import circle_complex
+
+    mesh = tmp_path / "circle12.json"
+    dump_json(complex_to_dict(circle_complex(12)[0]), mesh)
+    out = tmp_path / "g.json"
+    assert main(["build", "--in", str(mesh), "--field", spec, "--out", str(out)]) == 2
+    assert f"field expression {spec!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_smooth_interleaving_report(tmp_path):
     mesh = _write_circle(tmp_path)
     mu = tmp_path / "mu.csv"
@@ -251,6 +272,7 @@ def test_cli_config_json_form(tmp_path):
 @pytest.mark.parametrize(
     "line",
     [
+        # proxy_factor and tolerance are constants now: unknown keys
         "proxy_factor = 0",
         "proxy_factor = -1",
         "proxy_factor = Infinity",
@@ -273,12 +295,47 @@ def test_cli_config_json_form(tmp_path):
         'meshes = "circle"',
     ],
 )
-def test_cli_stability_rejects_invalid_config_values(tmp_path, line):
+def test_cli_stability_rejects_invalid_config_values(tmp_path, capsys, line):
     out = tmp_path / "report.json"
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"trials = 1\nmeshes = [\"circle\"]\n{line}\n")
     assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 3
     assert not out.exists()
+    key = line.split("=")[0].strip()
+    removed = key in ("proxy_factor", "tolerance")
+    assert ("unknown config keys" if removed else key) in capsys.readouterr().err
+
+
+def test_cli_stability_exits_4_on_violations(tmp_path, capsys, monkeypatch):
+    import reebsmooth.experiments as experiments
+
+    monkeypatch.setattr(experiments, "interleaving_lower_bound", lambda g1, g2: 1e9)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("trials = 2\nmeshes = [\"circle\"]\n")
+    out = tmp_path / "report.json"
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 4
+    report = json.loads(out.read_text())
+    assert report["violations"] == [0, 1]
+    assert not report["all_pass"]
+    capsys.readouterr()
+    assert main(["stability", "--config", str(cfg)]) == 4
+    assert json.loads(capsys.readouterr().out) == report
+
+
+def test_stability_rereads_a_mesh_file_on_every_run(tmp_path):
+    from reebsmooth.fileio import complex_to_dict, dump_json
+    from reebsmooth.meshes import circle_complex
+
+    def run(path, n):
+        if n is not None:
+            dump_json(complex_to_dict(*circle_complex(n)), path)
+        trials = run_stability(small_config(trials=2, meshes=(str(path),)))["trials"]
+        return [(t["lower_bound"], t["upper_bound"]) for t in trials]
+
+    first = run(tmp_path / "mesh.json", 12)
+    rewritten = run(tmp_path / "mesh.json", 20)
+    assert rewritten == run(tmp_path / "fresh.json", 20)
+    assert rewritten != first
 
 
 @pytest.mark.parametrize(

@@ -184,6 +184,16 @@ def test_level_components_counts():
     assert level_components(X, f, 2.0)[0] == 0
 
 
+@pytest.mark.parametrize("extra", [2, -2])
+def test_level_components_checks_the_field_length(extra):
+    X, f = circle_complex(12)
+    values = np.concatenate([f.values, [5.0, 6.0]]) if extra > 0 else f.values[:extra]
+    with pytest.raises(ValidationError, match="field length does not match vertex count"):
+        level_components(X, values, 0.0)
+    with pytest.raises(ValidationError, match="field length does not match vertex count"):
+        reeb_graph(X, values)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_array_fields_are_checked_like_scalar_fields(bad):
     X, f = circle_complex(12)
