@@ -1,21 +1,22 @@
 """The level/slab sweep, in numpy + scipy.
 
-Input.  Levels are the ranks 0 .. n_levels-1.  Simplex s is active on the
-levels min_rank[s] .. max_rank[s], its window, which lies in that range.
-Pair i is a codim-1 incidence (pair_a[i], pair_b[i]) of global simplex
-indices, cofacet first as in a face table; it joins its two simplices
-wherever both are active.
+Input.  Keys 0 .. 2 n_levels - 2 sweep the levels and the open slabs
+between them: key 2t is level t, key 2t + 1 the slab between levels t and
+t + 1.  Simplex s is active on the keys first[s] .. last[s], its window;
+either end may be a slab key.  Pair i is a codim-1 incidence (pair_a[i],
+pair_b[i]) of global simplex indices, cofacet first as in a face table; it
+joins its two simplices on every key where both are active.
 
-Copies.  Simplex s has a copy on level t (key 2t) for min_rank <= t <=
-max_rank, and a copy on the open slab between levels t and t+1 (slab t,
-key 2t+1) for min_rank <= t < max_rank.  So its copies are the keys
-2 min_rank .. 2 max_rank, and a pair's edges are the keys of the
-intersection of its two windows.
+Copies.  Simplex s has a copy on each key of its window, so a pair's edges
+are the keys of the intersection of its two windows.  A window of ranks
+t .. u is the keys 2t .. 2u, and windows of that form sweep every level;
+`reeb.window_reeb_graph` also merges the levels that hold no node into
+slabs (Merged slabs, below).
 
 Output: the pre-splice quotient skeleton.  Its nodes are the connected
 components of each level, its arcs the connected components of each slab;
-arc e runs from the node below it on level t to the node above it on level
-t+1.
+arc e on slab key k runs from the node below it on level key k - 1 to the
+node above it on level key k + 1.
 
 Canonical order.  This is the one place it is defined, and every
 construction of the skeleton must reproduce it bit for bit.  Sort all
@@ -31,11 +32,11 @@ keeps the nodes that are not regular in this order and lists its edges
 sorted by (lower node, upper node).
 
 Contraction.  Most joins hold for a static reason, and the sweep takes
-them out once per call.  A pair (c, f) is nested when f's window lies in
-c's and c > f; in a face table a cofacet comes after its facets, and
-windows formed from per-vertex ranks (the min and the max over a simplex's
-vertices) nest every pair.  A nested f is joined to c at every key where f
-is active.
+them out before it labels anything.  A pair (c, f) is nested when f's
+window lies in c's and c > f; in a face table a cofacet comes after its
+facets, and windows formed from per-vertex ranks (the min and the max over
+a simplex's vertices) nest every pair.  A nested f is joined to c at every
+key where f is active.
   Tree.  Each simplex with a nested pair takes the cofacet of its first one
 as its parent.  Parents have larger indices, so these tree pairs form a
 forest; pointer jumping finds each simplex's root, whose window contains
@@ -63,6 +64,71 @@ nested facet of s is active, that facet is smaller and joined to s, so s
 is not the smallest there.  Heads therefore take the minimum over the
 candidate copies only: the keys of each window that no nested facet's
 window covers.
+  Plan.  When every pair is nested, the contraction depends on the pairs
+alone, so `sweep_plan` computes it once per face table (with all-zero
+windows) and `SimplicialComplex.sweep_plan` caches it.  A sweep given the
+plan checks that its windows nest every pair and contracts nothing; only
+the head candidates, which depend on the windows, are found on every call.
+The plan also holds what the level test below reads: the star incidences
+(v, s), one per vertex v of each simplex s; the star pairs, one per pair
+(c, f) and vertex v of f, as the incidences (v, c) and (v, f); and the
+edge rows.
+
+Kept levels.  Let vertex v have ranks lo(v) <= hi(v), so that simplex s is
+active on the levels min lo .. max hi over its vertices, and let t be an
+event of v when t is lo(v) or hi(v).  `kept_levels` keeps level t when
+  (a) t = lo(v) and the simplices of star(v) with min rank < t do not form
+      exactly one component, joined by the star pairs of v between two of
+      them;
+  (b) t = hi(v) and the mirror test, with max rank > t, says the same; or
+  (c) some edge has an event at t at both ends (ties and plateaus).
+This is the lower/upper-link criticality test of Harvey, Wang and Wenger
+(SoCG 2010) and of Doraiswamy and Natarajan (TVCG 2012), stated in the
+sweep's own join graph.  Every node on a level t not kept is regular: its
+level component N meets exactly one component of the slab below and one
+of the slab above.
+  Proof.  Let A be the simplices active at t with min rank < t.  They are
+the ones active on the slab below, and a pair joins two of them there
+exactly when it joins them at t, so N's arcs down are the components of
+N ∩ A.  A simplex s' of N outside A has min rank t, so it has a vertex v
+with lo(v) = t, and by (c) no other vertex with an event at t: call v its
+event vertex.  All of star(v) is active at t (min lo <= lo(v) <= hi(v) <=
+max hi) and joined at t to v through its faces that contain v, so N holds
+star(v) ∩ A, which by (a) is one nonempty component: N ∩ A is not empty.
+Now take a path in N between two simplices of A.  Where it steps between s
+in A and s' outside A, s' is the facet, because a facet's min rank is at
+least its cofacet's; so s holds the event vertex v of s' and lies in
+star(v) ∩ A.  Two consecutive simplices outside A have one event vertex,
+since the facet's lies in the cofacet, which has only one.  So each run of
+the path outside A begins and ends in star(v) ∩ A for a single v, and by
+(a) a path inside star(v) ∩ A, joined by star pairs, replaces it: N ∩ A is
+connected.  The mirror argument with max rank > t and (b) gives the one
+arc up.  The first and the last level are always kept, since nothing is
+active below the first or above the last.
+  Merged slabs.  `reeb.window_reeb_graph` maps kept level i (counting kept
+levels from 0) to key 2i and every level between kept levels i - 1 and i
+to slab key 2i - 1.  The map is monotone, so nested pairs stay nested and
+a nested pair is active on its facet's window, as before.  The copies on
+slab key 2i - 1 are the simplices active somewhere strictly between the
+two kept levels, and a nested pair joins two of them exactly when both are
+active on one level or slab there; so its components are the connected
+unions of the components of those levels and slabs.  All the nodes there
+are regular, so each union is a chain from one component of the slab just
+above kept level i - 1 to one of the slab just below kept level i.  Each
+chain becomes one arc, which removes only regular nodes; the components of
+the kept levels, their order and representatives, and the degrees of their
+nodes do not change.  So `reeb._finalize` gives the same graph, bit for
+bit.
+  Arc ends.  A merged slab's smallest simplex may start or end inside it,
+so an arc's bottom is read from a root copy on the slab whose window
+reaches the key below, and its top from one whose window reaches the key
+above.  Such a copy lies in the chain's first (last) slab component, so
+every choice gives the same node.  A slab component with no such copy (in
+windows that start or end on a slab key beyond every level) raises
+ValueError; the sweep never reads a label outside a root's own copies.
+  One block.  When every copy of the sweep over all levels fits in one
+block (below), `window_reeb_graph` keeps every level: the sweep is one
+labeling call already, and the test would cost more than it saves.
 
 Memory.  The levels are cut into consecutive blocks of at most
 _BLOCK_COPIES simplex copies; a single level with more copies is a block of
@@ -72,9 +138,11 @@ call; a kept pair's copies are copies of its cofacet, so there are at most
 (dimension + 1) times as many edges as copies.  Working memory thus follows
 the block size and the simplex and pair counts, plus the output itself,
 however large the sum of the window lengths grows.  On the benchmark's
-inputs the sweep's tracemalloc peak is at most 0.5 MB on stability-smooth
-and 0.9 MB on reeb-build, most of it reeb-build's output.
+inputs the sweep's tracemalloc peak is at most 0.3 MB on stability-smooth
+and 0.7 MB on reeb-build, most of it reeb-build's output.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -84,10 +152,12 @@ from scipy.sparse.csgraph import connected_components
 # (the benchmark's `provenance()`) reports it.
 BACKEND = "pure"
 
-# Simplex copies per block, that is per connected-components call.  On the
-# benchmark's inputs 8192 makes the sweep some 45% slower, while 32768 is
-# about 15% faster and raises the sweep's peak allocation from 0.9 to
-# 1.3 MB.
+# Simplex copies per block, that is per connected-components call, and the
+# size below which `reeb.window_reeb_graph` keeps every level.  On the
+# benchmark's inputs 8192 makes reeb-build's sweeps some 35% slower.  32768
+# makes them some 8% faster but stability-smooth's some 15% slower (more of
+# its sweeps keep every level), and raises the sweep's tracemalloc peak from
+# 0.7 to 1.1 MB.
 _BLOCK_COPIES = 16384
 
 
@@ -138,9 +208,10 @@ def _components(n, a, b):
 def _contract(first, last, pair_a, pair_b):
     """Roots, and the pairs that still need an edge in the block graphs.
 
-    Returns (root, kept, nested): the root of every simplex in the forest of
-    tree pairs; the pairs that are neither implied nor between two
-    simplices with one root; and the nested pairs.
+    Returns (roots, local, kept, nested): the simplices that are roots of
+    the forest of tree pairs, the root-local index of each simplex's root,
+    the pairs that are neither implied nor between two simplices with one
+    root, and the nested pairs.
     """
     m = len(first)
     nested = np.flatnonzero(
@@ -160,7 +231,8 @@ def _contract(first, last, pair_a, pair_b):
     tree_of[child] = tree
     keep = root[pair_a] != root[pair_b]
     keep[nested[_implied(m, cofacet, facet, tree_of)]] = False
-    return root, np.flatnonzero(keep), nested
+    is_root = root == np.arange(m)
+    return np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[root], np.flatnonzero(keep), nested
 
 
 def _implied(m, cofacet, facet, tree_of):
@@ -218,19 +290,116 @@ def _head_candidates(first, last, cofacet, facet):
     )
 
 
-def sweep_quotient(min_rank, max_rank, pair_a, pair_b, n_levels):
-    first = 2 * np.asarray(min_rank, dtype=np.int64)
-    last = 2 * np.asarray(max_rank, dtype=np.int64)
+class SweepPlan(NamedTuple):
+    """What a sweep reads of a face table besides the windows (see Plan)."""
+
+    roots: np.ndarray
+    local: np.ndarray
+    kept: np.ndarray
+    star_vertex: np.ndarray
+    star_simplex: np.ndarray
+    star_cofacet: np.ndarray
+    star_facet: np.ndarray
+    edges: np.ndarray
+
+
+def sweep_plan(blocks, pair_a, pair_b):
+    """The sweep plan of a face table (`SimplicialComplex.face_table`).
+
+    blocks are its per-dimension vertex rows, and pair_a, pair_b its pairs,
+    per dimension in "drop column p" order.
+    """
+    sizes = [len(b) for b in blocks]
+    start = np.cumsum([0] + sizes)
+    zero = np.zeros(start[-1], dtype=np.int64)
+    roots, local, kept, _ = _contract(zero, zero, pair_a, pair_b)
+    # star incidence star_at[d] + q * sizes[d] + j pairs the vertex in column
+    # q of row j of dimension d with that simplex
+    star_at = np.cumsum([0] + [b.size for b in blocks])
+    star_vertex = np.concatenate([b.T.ravel() for b in blocks])
+    star_simplex = np.concatenate(
+        [np.tile(np.arange(start[d], start[d + 1]), b.shape[1]) for d, b in enumerate(blocks)]
+    )
+    star_cofacet, star_facet = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    at = 0
+    for d in range(1, len(blocks)):
+        # pair p * m + j drops column p of row j; facet column q is the
+        # cofacet's column q, or q + 1 from column p on
+        m = sizes[d]
+        facet = (pair_b[at : at + (d + 1) * m] - start[d - 1]).reshape(d + 1, 1, m)
+        at += (d + 1) * m
+        q = np.arange(d)[:, None]
+        q_cofacet = q + (q >= np.arange(d + 1)[:, None, None])
+        star_cofacet.append((star_at[d] + q_cofacet * m + np.arange(m)).ravel())
+        star_facet.append((star_at[d - 1] + q * sizes[d - 1] + facet).ravel())
+    edges = blocks[1] if len(blocks) > 1 else np.empty((0, 2), dtype=np.int64)
+    return SweepPlan(
+        roots,
+        local,
+        kept,
+        star_vertex,
+        star_simplex,
+        np.concatenate(star_cofacet),
+        np.concatenate(star_facet),
+        edges,
+    )
+
+
+def kept_levels(plan, lo_rank, hi_rank, min_rank, max_rank, n_levels):
+    """The levels that the static test keeps, as a mask (see Kept levels).
+
+    lo_rank and hi_rank are per vertex, with lo_rank <= hi_rank; min_rank
+    and max_rank are per simplex, the min of lo_rank and the max of hi_rank
+    over its vertices.
+    """
+    vertex, simplex = plan.star_vertex, plan.star_simplex
+    # the star copies active just below lo (first half) and just above hi
+    active = np.concatenate(
+        [min_rank[simplex] < lo_rank[vertex], max_rank[simplex] > hi_rank[vertex]]
+    )
+    n = len(vertex)
+    a = np.concatenate([plan.star_cofacet, plan.star_cofacet + n])
+    b = np.concatenate([plan.star_facet, plan.star_facet + n])
+    join = active[a] & active[b]
+    _, label = _components(2 * n, a[join], b[join])
+    copy = np.flatnonzero(active)
+    copy = copy[np.unique(label[copy], return_index=True)[1]]  # one per component
+    n_vertices = len(lo_rank)
+    count = np.bincount(vertex[copy % n] + n_vertices * (copy >= n), minlength=2 * n_vertices)
+    keep = np.zeros(n_levels, dtype=bool)
+    keep[lo_rank[count[:n_vertices] != 1]] = True
+    keep[hi_rank[count[n_vertices:] != 1]] = True
+    u, w = plan.edges.T
+    for event_u in (lo_rank[u], hi_rank[u]):
+        for event_w in (lo_rank[w], hi_rank[w]):
+            keep[event_u[event_u == event_w]] = True
+    return keep
+
+
+def sweep_quotient(first, last, pair_a, pair_b, n_levels, plan=None):
+    """The skeleton of the sweep of key windows (see the module docstring).
+
+    With a plan (`sweep_plan` of the face table that pair_a, pair_b come
+    from), the windows must nest every pair and are not contracted again.
+    """
+    first = np.asarray(first, dtype=np.int64)
+    last = np.asarray(last, dtype=np.int64)
     pair_a = np.asarray(pair_a, dtype=np.int64)
     pair_b = np.asarray(pair_b, dtype=np.int64)
     m = len(first)
 
-    root, kept, nested = _contract(first, last, pair_a, pair_b)
-    cand, cand_first, cand_last = _head_candidates(first, last, pair_a[nested], pair_b[nested])
-    is_root = root == np.arange(m)
-    root_first, root_last = first[is_root], last[is_root]
-    # root-local index of each simplex's root
-    local = (np.cumsum(is_root) - 1)[root]
+    if plan is None:
+        roots, local, kept, nested = _contract(first, last, pair_a, pair_b)
+        cofacet, facet = pair_a[nested], pair_b[nested]
+    else:
+        roots, local, kept = plan.roots, plan.local, plan.kept
+        cofacet, facet = pair_a, pair_b
+        if np.any(first[facet] < first[cofacet]) or np.any(last[facet] > last[cofacet]):
+            raise ValueError("a sweep plan needs windows that nest every pair")
+    cand, cand_first, cand_last = _head_candidates(first, last, cofacet, facet)
+    root_first, root_last = first[roots], last[roots]
+    # the slabs j (key 2j + 1) in each root's window
+    slab_first, slab_last = root_first // 2, (root_last - 1) // 2
     edge_a, edge_b = local[pair_a[kept]], local[pair_b[kept]]
     edge_first = np.maximum(first[pair_a[kept]], first[pair_b[kept]])
     edge_last = np.minimum(last[pair_a[kept]], last[pair_b[kept]])
@@ -244,7 +413,7 @@ def sweep_quotient(min_rank, max_rank, pair_a, pair_b, n_levels):
 
     node_level, node_rep, arc_bottom, arc_top, arc_rep = [], [], [], [], []
     n_nodes = 0
-    pending = np.empty(0, dtype=np.int64)  # reps of the last block's top slab
+    pending = np.empty(0, dtype=np.int64)  # roots that give the last block's top arcs their tops
     t0 = 0
     while t0 < n_levels:
         t1 = int(np.searchsorted(below, below[t0] + _BLOCK_COPIES, side="right")) - 1
@@ -268,6 +437,19 @@ def sweep_quotient(min_rank, max_rank, pair_a, pair_b, n_levels):
         np.minimum.at(head, labels[offset[local[simplex]] + key], code)
         del key, simplex, code
 
+        # per slab component, a root whose window reaches the key below
+        # (down) and one whose window reaches the key above (up)
+        item, slab = _window_keys(slab_first, slab_last, k0 // 2, k1 // 2)
+        key = 2 * slab + 1
+        comp = labels[offset[item] + key]
+        down = np.full(n_comp, -1, dtype=np.int64)
+        up = np.full(n_comp, -1, dtype=np.int64)
+        reach = root_first[item] < key
+        down[comp[reach]] = item[reach]
+        reach = root_last[item] > key
+        up[comp[reach]] = item[reach]
+        del item, slab, key, comp, reach
+
         order = np.argsort(head)
         head_key, head_rep = np.divmod(head[order], m)
         head_key += k0
@@ -275,8 +457,8 @@ def sweep_quotient(min_rank, max_rank, pair_a, pair_b, n_levels):
         comp_node = np.empty(len(head), dtype=np.int64)
         comp_node[order[on_level]] = n_nodes + np.arange(int(on_level.sum()))
 
-        def node_at(rep, k):
-            return comp_node[labels[offset[local[rep]] + k]]
+        def node_at(root, k):
+            return comp_node[labels[offset[root] + k]]
 
         if len(pending):
             arc_top[-1][-len(pending) :] = node_at(pending, k0)
@@ -284,14 +466,17 @@ def sweep_quotient(min_rank, max_rank, pair_a, pair_b, n_levels):
         node_rep.append(head_rep[on_level])
         n_nodes += int(on_level.sum())
 
-        slab_key, rep = head_key[~on_level], head_rep[~on_level]
-        arc_rep.append(rep)
-        arc_bottom.append(node_at(rep, slab_key - 1))
+        arc, slab_key = order[~on_level], head_key[~on_level]
+        bottom, top_root = down[arc], up[arc]
+        if np.any(bottom < 0) or np.any(top_root < 0):
+            raise ValueError("a slab component has no copy on the level below or above it")
+        arc_rep.append(head_rep[~on_level])
+        arc_bottom.append(node_at(bottom, slab_key - 1))
         inside = slab_key < k1
-        top = np.empty(len(rep), dtype=np.int64)
-        top[inside] = node_at(rep[inside], slab_key[inside] + 1)
+        top = np.empty(len(arc), dtype=np.int64)
+        top[inside] = node_at(top_root[inside], slab_key[inside] + 1)
         arc_top.append(top)
-        pending = rep[~inside]
+        pending = top_root[~inside]
 
     def joined(parts):
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

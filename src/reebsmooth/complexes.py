@@ -6,7 +6,8 @@ row ascending and the rows strictly increasing in lexicographic order.
 Complexes are closed under taking faces.  Validation checks all of this with
 whole-array operations.  Its closure check looks every codim-1 face up one
 dimension down, and the positions it finds are the complex's incidence table
-(`SimplicialComplex.face_table`), which the sweeps in `reeb` read.
+(`SimplicialComplex.face_table`), which the sweeps in `reeb` read together
+with its sweep plan (`SimplicialComplex.sweep_plan`, computed once).
 
 The staircase thickening is the reference construction of a smoothing's
 domain {(x, t) : |t| <= r(x)}.  It replaces each vertex column by three copies
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._core import sweep_plan
 from .errors import GuardViolation, ValidationError
 
 MAX_COMPLEX_DIM = 3
@@ -166,6 +168,7 @@ class SimplicialComplex:
         # drop empty dimensions for a canonical shape
         self.simplices = {d: r for d, r in self.simplices.items() if len(r)}
         self._diameter = None
+        self._plan = None
         self.validate()
 
     # -- construction ------------------------------------------------------
@@ -255,6 +258,16 @@ class SimplicialComplex:
             self._diameter = float(np.sqrt(best))
         return self._diameter
 
+    def sweep_plan(self):
+        """The sweep plan of `face_table` (`_core.sweep_plan`).
+
+        Computed once per instance; later calls return the cached plan.
+        """
+        if self._plan is None:
+            blocks, _, pair_a, pair_b = self.face_table
+            self._plan = sweep_plan(blocks, pair_a, pair_b)
+        return self._plan
+
     # -- validation ----------------------------------------------------------
 
     def validate(self):
@@ -312,6 +325,7 @@ class SimplicialComplex:
         first_vertex = np.concatenate([b[:, 0] for b in blocks])
         pair_a, pair_b = np.concatenate(pair_a), np.concatenate(pair_b)
         self.face_table = (blocks, first_vertex, pair_a, pair_b)
+        self._plan = None
         return True
 
 

@@ -93,11 +93,13 @@ def parse_off(data, path=None):
     if len(parts) != 3:
         raise ParseError("counts line needs 'nv nf ne'", path=path, line=n)
     try:
-        nv, nf = int(parts[0]), int(parts[1])
+        nv, nf, _ = (int(p) for p in parts)
     except ValueError:
         raise ParseError("counts must be integers", path=path, line=n) from None
-    if nv <= 0 or nf < 0:
+    if nv <= 0:
         raise ParseError("vertex count must be positive", path=path, line=n)
+    if nf < 0:
+        raise ParseError("face count must not be negative", path=path, line=n)
     rows = [(n, line.split()) for n, line in lines[2:]]
     if len(rows) < nv + nf:
         raise ParseError(

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import _components, sweep_quotient
+from . import _core
+from ._core import _components, kept_levels, sweep_quotient
 from .complexes import ScalarField, SimplicialComplex, as_scalar_field
 from .errors import GuardViolation, ValidationError
 
@@ -125,24 +126,37 @@ def _field_values(X, f):
 def window_reeb_graph(X, lo, hi):
     """Quotient of the sweep in which simplex s is active on [min_s lo, max_s hi].
 
-    lo and hi are per-vertex values; the levels are their distinct values.
+    lo and hi are per-vertex values, lo <= hi at every vertex; the levels
+    are their distinct values.
     With lo = hi = f this is the Reeb graph of f.  With lo = f - r and
     hi = f + r it is the Reeb graph of f + t on the thickening
     {(x, t) : |t| <= r(x)}: the prism over each base simplex is convex, and
     f + t is linear on it, so its level and slab slices are convex and
     nonempty exactly on that window.
     """
+    if np.any(lo > hi):
+        raise ValidationError("a window's lo value exceeds its hi value")
     blocks, first_vertex, pair_a, pair_b = X.face_table
+    plan = X.sweep_plan()
     levels = np.unique(lo if hi is lo else np.concatenate([lo, hi]))
     lo_rank = np.searchsorted(levels, lo)
     hi_rank = lo_rank if hi is lo else np.searchsorted(levels, hi)
     min_rank, max_rank = _value_extents(blocks, lo_rank, hi_rank)
 
+    # sweep only the levels that can hold a node, unless every copy of the
+    # sweep over all levels fits in one block anyway
+    if (2 * (max_rank - min_rank) + 1).sum() <= _core._BLOCK_COPIES:
+        keep = np.ones(len(levels), dtype=bool)
+    else:
+        keep = kept_levels(plan, lo_rank, hi_rank, min_rank, max_rank, len(levels))
+    # kept level i is key 2i, a level between kept levels i - 1 and i slab key 2i - 1
+    n_kept = np.cumsum(keep)
+    key = 2 * n_kept - 1 - keep
     node_level, node_rep, arc_bottom, arc_top, arc_rep = sweep_quotient(
-        min_rank, max_rank, pair_a, pair_b, len(levels)
+        key[min_rank], key[max_rank], pair_a, pair_b, int(n_kept[-1]), plan=plan
     )
     return _finalize(
-        levels[node_level],
+        levels[keep][node_level],
         X.vertex_ids[first_vertex[node_rep]],
         arc_bottom,
         arc_top,

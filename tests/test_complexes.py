@@ -215,6 +215,18 @@ def test_build_closure_and_face_table_match_brute_force(data):
     assert pair_a.tolist() == want_a
     assert pair_b.tolist() == want_b
 
+    # the sweep plan's stars: each (vertex, simplex) incidence once, and each
+    # pair (c, f) once per vertex v of f, as the incidences (v, c) and (v, f)
+    plan = X.sweep_plan()
+    star = list(zip(plan.star_vertex.tolist(), plan.star_simplex.tolist()))
+    assert sorted(star) == sorted((v, position[s]) for s in simplices for v in s)
+    pairs = [(star[i], star[j]) for i, j in zip(plan.star_cofacet, plan.star_facet)]
+    assert all(c[0] == f[0] for c, f in pairs)
+    assert sorted((c[0], c[1], f[1]) for c, f in pairs) == sorted(
+        (v, a, b) for a, b in zip(want_a, want_b) for v in simplices[b]
+    )
+    assert [tuple(e) for e in plan.edges.tolist()] == expected.get(1, [])
+
 
 def test_single_edge_global_thickening_hand_enumeration():
     # one edge, eps=1: two 3-vertex columns -> 6 vertices, the prism square

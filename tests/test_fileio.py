@@ -112,8 +112,10 @@ OFF_FAULTS = [
     ("OFF\n2 1\n0 0\n1 1\n", 2, "counts line needs 'nv nf ne'"),
     ("OFF\n2 x 0\n0 0\n1 1\n", 2, "counts must be integers"),
     ("OFF\n2.0 1 0\n0 0\n1 1\n", 2, "counts must be integers"),
+    ("OFF\n2 1 banana\n0 0\n1 0\n2 0 1\n", 2, "counts must be integers"),
     ("OFF\n0 0 0\n", 2, "vertex count must be positive"),
-    ("OFF\n2 -1 0\n0 0\n1 1\n", 2, "vertex count must be positive"),
+    ("OFF\n0 -1 0\n", 2, "vertex count must be positive"),
+    ("OFF\n2 -1 0\n0 0\n1 1\n", 2, "face count must not be negative"),
     ("OFF\n2 1 0\n0 0\n1 1\n", 4, "expected 2 vertex and 1 face lines, found 2"),
     ("OFF\n1 0 0\n0 0 0 0\n", 3, "vertices need 1 to 3 coordinates"),
     ("OFF\n1 0 0\n0 0 0 x\n", 3, "vertices need 1 to 3 coordinates"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from reebsmooth import _core, reeb
+from reebsmooth import _core, reeb, smoothing
 from reebsmooth.complexes import ScalarField, SimplicialComplex
 from reebsmooth.errors import GuardViolation, ValidationError
 from reebsmooth.experiments import ExperimentConfig, run_stability
@@ -26,6 +26,7 @@ from reebsmooth.reeb import (
     realize_as_complex,
     reeb_graph,
     sweep_quotient,
+    window_reeb_graph,
 )
 
 from oracles import slab_oracle
@@ -124,14 +125,27 @@ def _assert_same_graph(g, oracle):
     assert np.array_equal(g.edges, oracle.edges)
 
 
+# block sizes 1, 2 and 7 hand arcs across block boundaries on nearly every
+# level, and make `window_reeb_graph` merge the levels that hold no node; the
+# default size covers the production path
+BLOCK_SIZES = (1, 2, 7, _core._BLOCK_COPIES)
+
+
+def _assert_agrees_with_the_oracle(X, f):
+    oracle = slab_oracle(X, f)
+    for block in BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_core, "_BLOCK_COPIES", block)
+            _assert_same_graph(reeb_graph(X, f), oracle)
+
+
 def test_oracle_agreement_random_fields():
     rng = np.random.default_rng(17)
     X1, _ = circle_complex(20)
     X2, _ = torus_mesh(8, 8)
     for X in (X1, X2):
         for _ in range(10):
-            f = random_field(rng, X)
-            _assert_same_graph(reeb_graph(X, f), slab_oracle(X, f))
+            _assert_agrees_with_the_oracle(X, random_field(rng, X))
 
 
 def test_oracle_agreement_with_forced_ties():
@@ -139,12 +153,11 @@ def test_oracle_agreement_with_forced_ties():
     rng = np.random.default_rng(23)
     for _ in range(15):
         X = random_complex(rng)
-        f = random_field(rng, X, quantize=4)
-        _assert_same_graph(reeb_graph(X, f), slab_oracle(X, f))
+        _assert_agrees_with_the_oracle(X, random_field(rng, X, quantize=4))
     for trial in range(15):
         X = random_complex(rng, 14, 24, 8)
         f = random_field(rng, X, quantize=0.5 if trial % 3 == 0 else None)
-        _assert_same_graph(reeb_graph(X, f), slab_oracle(X, f))
+        _assert_agrees_with_the_oracle(X, f)
 
 
 def test_is_isomorphic_positive_and_negative():
@@ -325,7 +338,7 @@ def _per_level_sweep(min_rank, max_rank, pair_a, pair_b, n_levels):
 
 
 def _simplex_windows(X, lo_rank, hi_rank):
-    """Per-simplex windows from per-vertex ranks, as `window_reeb_graph` forms them."""
+    """Per-simplex rank windows from per-vertex ranks, as `window_reeb_graph` forms them."""
     blocks, _, pair_a, pair_b = X.face_table
     min_rank = np.concatenate([lo_rank[b].min(axis=1) for b in blocks])
     max_rank = np.concatenate([hi_rank[b].max(axis=1) for b in blocks])
@@ -352,13 +365,18 @@ def test_blocked_sweep_matches_per_level_sweep(seed, shape, n_levels, widths):
     # some pairs never have both ends active
     rng = np.random.default_rng(seed)
     X = random_complex(rng, *COMPLEX_SHAPES[shape])
-    _assert_every_block_size_matches(_random_windows(rng, X, n_levels, widths), n_levels)
+    _assert_every_block_size_matches(X, _random_windows(rng, X, n_levels, widths), n_levels)
+
+
+def _random_ranks(rng, X, n_levels, widths):
+    """Per-vertex ranks lo <= hi: equal ("zero") or up to 3 levels apart (otherwise)."""
+    lo = rng.integers(0, n_levels, size=X.n_vertices)
+    hi = lo if widths == "zero" else np.minimum(lo + rng.integers(0, 4, size=len(lo)), n_levels - 1)
+    return lo, hi
 
 
 def _random_windows(rng, X, n_levels, widths):
-    lo = rng.integers(0, n_levels, size=X.n_vertices)
-    hi = lo if widths == "zero" else np.minimum(lo + rng.integers(0, 4, size=len(lo)), n_levels - 1)
-    args = _simplex_windows(X, lo, hi)
+    args = _simplex_windows(X, *_random_ranks(rng, X, n_levels, widths))
     if widths == "simplex":
         start = rng.integers(0, n_levels, size=len(args[0]))
         stop = np.minimum(start + rng.integers(0, 4, size=len(start)), n_levels - 1)
@@ -366,16 +384,23 @@ def _random_windows(rng, X, n_levels, widths):
     return args
 
 
-def _assert_every_block_size_matches(args, n_levels):
+def _assert_every_block_size_matches(X, args, n_levels):
+    # the sweep over every level (key 2t for level t), contracted per call
+    # and, where every pair nests, from the complex's plan
     expected = _per_level_sweep(*args, n_levels)
-    # block sizes 1, 2 and 7 hand arcs across block boundaries on nearly
-    # every level; the default size covers the production path
-    for block in (1, 2, 7, _core._BLOCK_COPIES):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_core, "_BLOCK_COPIES", block)
-            got = sweep_quotient(*args, n_levels)
-        for g, e in zip(got, expected):
-            assert g.dtype == e.dtype and np.array_equal(g, e), block
+    min_rank, max_rank, pair_a, pair_b = args
+    nested = np.all(min_rank[pair_a] <= min_rank[pair_b]) and np.all(
+        max_rank[pair_b] <= max_rank[pair_a]
+    )
+    for plan in (None, X.sweep_plan()) if nested else (None,):
+        for block in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_core, "_BLOCK_COPIES", block)
+                got = sweep_quotient(
+                    2 * min_rank, 2 * max_rank, pair_a, pair_b, n_levels, plan=plan
+                )
+            for g, e in zip(got, expected):
+                assert g.dtype == e.dtype and np.array_equal(g, e), block
 
 
 def _random_solid(rng):
@@ -414,12 +439,12 @@ def test_contracted_sweep_matches_per_level_sweep_with_tetrahedra(seed, shape, n
     # windows, so nesting varies from pair to pair
     rng = np.random.default_rng(seed)
     X = _random_solid(rng) if shape == "solid" else _pinched(shape)
-    _assert_every_block_size_matches(_random_windows(rng, X, n_levels, widths), n_levels)
+    _assert_every_block_size_matches(X, _random_windows(rng, X, n_levels, widths), n_levels)
 
 
 def _kept_pairs(X, lo, hi):
     min_rank, max_rank, pair_a, pair_b = _simplex_windows(X, lo, hi)
-    _, kept, _ = _core._contract(2 * min_rank, 2 * max_rank, pair_a, pair_b)
+    _, _, kept, _ = _core._contract(2 * min_rank, 2 * max_rank, pair_a, pair_b)
     return pair_a[kept], pair_b[kept]
 
 
@@ -448,7 +473,9 @@ def test_sweep_head_codes_do_not_wrap():
     m, n_levels = 40000, 200000
     rank = rng.integers(0, n_levels, size=m)
     none = np.empty(0, dtype=np.int64)
-    node_level, node_rep, arc_bottom, _, _ = sweep_quotient(rank, rank, none, none, n_levels)
+    node_level, node_rep, arc_bottom, _, _ = sweep_quotient(
+        2 * rank, 2 * rank, none, none, n_levels
+    )
     order = np.lexsort((np.arange(m), rank))
     assert np.array_equal(node_level, rank[order])
     assert np.array_equal(node_rep, order)
@@ -464,8 +491,10 @@ def test_blocked_sweep_matches_per_level_sweep_on_a_torus():
         rank = np.searchsorted(levels, f)
         args = _simplex_windows(X, rank, rank)
         expected = _per_level_sweep(*args, len(levels))
-        for g, e in zip(sweep_quotient(*args, len(levels)), expected):
-            assert np.array_equal(g, e)
+        for plan in (None, X.sweep_plan()):
+            got = sweep_quotient(2 * args[0], 2 * args[1], *args[2:], len(levels), plan=plan)
+            for g, e in zip(got, expected):
+                assert np.array_equal(g, e)
 
 
 SWEEP_PEAK_MB = 48
@@ -484,7 +513,7 @@ def test_sweep_memory_follows_the_block_size():
     assert (max_rank - min_rank + 1).sum() > 10**7
     tracemalloc.start()
     try:
-        out = sweep_quotient(min_rank, max_rank, pair_a, pair_b, len(levels))
+        out = sweep_quotient(2 * min_rank, 2 * max_rank, pair_a, pair_b, len(levels))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -497,24 +526,169 @@ TORUS_SWEEP_PEAK_MB = 1.5
 
 def test_sweep_memory_on_the_stability_torus():
     # The 12 x 12 torus's smoothing windows, the largest sweep of a
-    # three-trial stability run, labelled in blocks of _BLOCK_COPIES copies;
-    # a retuned block size shows here before it shows in a process's RSS.
+    # three-trial stability run, labelled in blocks of _BLOCK_COPIES copies
+    # over every level; a retuned block size shows here before it shows in a
+    # process's RSS.  The production call, which sweeps only the kept
+    # levels, stays within the same bound.
     calls = []
 
-    def record(*args):
-        calls.append(args)
-        return sweep_quotient(*args)
+    def record(X, lo, hi):
+        calls.append((X, lo, hi))
+        return window_reeb_graph(X, lo, hi)
 
     config = ExperimentConfig(mode="dtm", trials=3, seed=11, threads=1)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reeb, "sweep_quotient", record)
+        mp.setattr(smoothing, "window_reeb_graph", record)
         run_stability(config)
-    args = max(calls, key=lambda a: int((a[1] - a[0] + 1).sum()))
-    assert len(args[0]) == 144 + 432 + 288 and (args[1] - args[0] + 1).sum() > 10**5
-    tracemalloc.start()
-    try:
-        sweep_quotient(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= TORUS_SWEEP_PEAK_MB * 2**20
+    windows = []
+    for X, lo, hi in calls:
+        levels = np.unique(np.concatenate([lo, hi]))
+        ranks = np.searchsorted(levels, lo), np.searchsorted(levels, hi)
+        windows.append((_simplex_windows(X, *ranks), len(levels), (X, lo, hi)))
+    (min_rank, max_rank, pair_a, pair_b), n_levels, call = max(
+        windows, key=lambda w: int((w[0][1] - w[0][0] + 1).sum())
+    )
+    assert len(min_rank) == 144 + 432 + 288 and (max_rank - min_rank + 1).sum() > 10**5
+    for sweep in (
+        lambda: sweep_quotient(2 * min_rank, 2 * max_rank, pair_a, pair_b, n_levels),
+        lambda: window_reeb_graph(*call),
+    ):
+        tracemalloc.start()
+        try:
+            sweep()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= TORUS_SWEEP_PEAK_MB * 2**20
+
+
+# -- the static level test and the merged slabs ---------------------------------
+
+
+def _complex(rng, shape):
+    if shape in COMPLEX_SHAPES:
+        return random_complex(rng, *COMPLEX_SHAPES[shape])
+    return _random_solid(rng) if shape == "solid" else _pinched(shape)
+
+
+SHAPES = sorted(COMPLEX_SHAPES) + ["solid"] + sorted(PINCHED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(SHAPES),
+    st.integers(1, 9),
+    st.sampled_from(["zero", "vertex"]),
+)
+def test_kept_levels_hold_every_node(seed, shape, n_levels, widths):
+    # few levels force ties and plateaus; the nodes are those that the sweep
+    # over every level and the splice keep
+    rng = np.random.default_rng(seed)
+    X = _complex(rng, shape)
+    lo, hi = _random_ranks(rng, X, n_levels, widths)
+    min_rank, max_rank, pair_a, pair_b = _simplex_windows(X, lo, hi)
+    keep = _core.kept_levels(X.sweep_plan(), lo, hi, min_rank, max_rank, n_levels)
+    node_level, node_rep, arc_bottom, arc_top, _ = _per_level_sweep(
+        min_rank, max_rank, pair_a, pair_b, n_levels
+    )
+    graph = reeb._finalize(node_level.astype(np.float64), node_rep, arc_bottom, arc_top)
+    assert np.all(keep[graph.node_values.astype(np.int64)])
+
+
+def _all_levels_graph(X, lo, hi):
+    """`window_reeb_graph` with every level swept, by the per-level sweep."""
+    _, first_vertex, _, _ = X.face_table
+    levels = np.unique(np.concatenate([lo, hi]))
+    windows = _simplex_windows(X, np.searchsorted(levels, lo), np.searchsorted(levels, hi))
+    node_level, node_rep, arc_bottom, arc_top, _ = _per_level_sweep(*windows, len(levels))
+    return reeb._finalize(
+        levels[node_level], X.vertex_ids[first_vertex[node_rep]], arc_bottom, arc_top
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(SHAPES),
+    st.integers(1, 9),
+    st.sampled_from(["plain", "zero", "vertex"]),
+)
+def test_merged_slabs_match_the_sweep_over_every_level(seed, shape, n_levels, widths):
+    # plain: one field, as `reeb_graph` passes it; zero and vertex: windowed
+    # values on few levels, so ties and plateaus
+    rng = np.random.default_rng(seed)
+    X = _complex(rng, shape)
+    if widths == "plain":
+        lo = hi = random_field(rng, X, quantize=n_levels if n_levels > 4 else None).values
+    else:
+        lo, hi = (r.astype(np.float64) for r in _random_ranks(rng, X, n_levels, widths))
+        hi = lo if widths == "zero" else hi
+    expected = _all_levels_graph(X, lo, hi)
+    for block in BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_core, "_BLOCK_COPIES", block)
+            got = window_reeb_graph(X, lo, hi)
+        assert np.array_equal(got.node_values, expected.node_values), block
+        assert np.array_equal(got.node_reps, expected.node_reps), block
+        assert np.array_equal(got.edges, expected.edges), block
+
+
+def test_merged_slabs_on_a_smoothed_torus():
+    # a stability-size sweep: most levels merge into slabs
+    X, f = torus_mesh(12, 12)
+    values = random_field(np.random.default_rng(2), X).values
+    windows = ((f.values - 0.4, f.values + 0.4), (values, values), (values - 0.1, values + 0.3))
+    for lo, hi in windows:
+        expected = _all_levels_graph(X, lo, hi)
+        got = window_reeb_graph(X, lo, hi)
+        assert np.array_equal(got.node_values, expected.node_values)
+        assert np.array_equal(got.node_reps, expected.node_reps)
+        assert np.array_equal(got.edges, expected.edges)
+
+
+def test_window_lo_above_hi_is_rejected():
+    # a vertex with lo above hi would have an empty window, which the
+    # sweep does not take
+    X, f = circle_complex(12)
+    hi = f.values.copy()
+    hi[3] -= 0.5
+    with pytest.raises(ValidationError, match="lo value exceeds its hi value"):
+        window_reeb_graph(X, f.values, hi)
+
+
+@pytest.mark.parametrize("first, last", [(1, 2), (0, 1)])
+def test_a_slab_without_a_copy_on_its_level_raises(first, last):
+    # one vertex whose key window starts (ends) on slab key 1: no copy of its
+    # slab component reaches the level below (above)
+    none = np.empty(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="no copy on the level below or above"):
+        sweep_quotient(np.array([first]), np.array([last]), none, none, 2)
+
+
+def test_a_plan_needs_windows_that_nest_every_pair():
+    X = SimplicialComplex.build([(0, (0.0,)), (1, (1.0,))], [(0, 1)])
+    _, _, pair_a, pair_b = X.face_table
+    with pytest.raises(ValueError, match="nest every pair"):
+        # vertex 0's window [0, 0] is not inside the edge's [2, 2]
+        first, last = np.array([0, 0, 2]), np.array([0, 2, 2])
+        sweep_quotient(first, last, pair_a, pair_b, 2, plan=X.sweep_plan())
+
+
+def test_a_complex_builds_its_sweep_plan_once():
+    X, f = torus_mesh(8, 8)
+    calls = []
+    contract = _core._contract
+
+    def counted(*args):
+        calls.append(args)
+        return contract(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_core, "_contract", counted)
+        mp.setattr(_core, "_BLOCK_COPIES", 7)
+        plan = X.sweep_plan()
+        graphs = [reeb_graph(X, f)]
+        graphs += [window_reeb_graph(X, f.values - r, f.values + r) for r in (0.2, 0.5)]
+    assert X.sweep_plan() is plan and len(calls) == 1
+    assert [g.n_nodes for g in graphs] == [4, 4, 4]
