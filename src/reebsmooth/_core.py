@@ -3,9 +3,12 @@
 Input.  Keys 0 .. 2 n_levels - 2 sweep the levels and the open slabs
 between them: key 2t is level t, key 2t + 1 the slab between levels t and
 t + 1.  Simplex s is active on the keys first[s] .. last[s], its window;
-either end may be a slab key.  Pair i is a codim-1 incidence (pair_a[i],
-pair_b[i]) of global simplex indices, cofacet first as in a face table; it
-joins its two simplices on every key where both are active.
+either end may be a slab key.  Each window is the hull of its vertices'
+windows (`vertex_hulls`), as in every sweep of this library (a local
+smoothing is the Reeb graph of f + t on {|t| <= r(x)}); the sweep checks
+it.  Pair i is a codim-1 incidence (pair_a[i], pair_b[i]) of global simplex
+indices, cofacet first as in a face table; it joins its two simplices on
+every key where both are active.
 
 Copies.  Simplex s has a copy on each key of its window, so a pair's edges
 are the keys of the intersection of its two windows.  A window of ranks
@@ -32,47 +35,47 @@ keeps the nodes that are not regular in this order and lists its edges
 sorted by (lower node, upper node).
 
 Contraction.  Most joins hold for a static reason, and the sweep takes
-them out before it labels anything.  A pair (c, f) is nested when f's
-window lies in c's and c > f; in a face table a cofacet comes after its
-facets, and windows formed from per-vertex ranks (the min and the max over
-a simplex's vertices) nest every pair.  A nested f is joined to c at every
-key where f is active.
-  Tree.  Each simplex with a nested pair takes the cofacet of its first one
-as its parent.  Parents have larger indices, so these tree pairs form a
-forest; pointer jumping finds each simplex's root, whose window contains
-its whole tree's.  So the copy of s at key k is joined to the copy of
-root(s) at k: only root copies are graph nodes, and every other copy reads
-its root's label.  A pair whose two roots coincide adds no join.
+them out before it labels anything.  Every pair (c, f) is nested: c > f,
+since a face table lists a cofacet after its facets, and f's window lies
+in c's, since f's vertices are among c's and the windows are their hulls.
+So f is joined to c at every key where f is active.
+  Tree.  Each facet takes the cofacet of its first pair as its parent.
+Parents have larger indices, so these tree pairs form a forest; pointer
+jumping finds each simplex's root, whose window contains its whole tree's.
+So the copy of s at key k is joined to the copy of root(s) at k: only root
+copies are graph nodes, and every other copy reads its root's label.  A
+pair whose two roots coincide adds no join.
   Links.  Nor does an implied pair.  The static link graph of f has f's
-nested pairs (c, f) as nodes; two of them, (c, f) and (c', f), are linked
-when some T has nested pairs (T, c) and (T, c').  At a key where f is
-active, each such c and T is active too (nesting), so c and c' are joined
-there through pairs (T, c) whose facet c is larger than f.  So one pair
-per link component joins that component to f, and the component of f's
-tree pair needs none: the others are implied.  By induction downwards over
-the facet index, each dropped pair joins two copies that the kept pairs
-and the trees already join, so every label stays the same.  One
-connected-components call over all nested pairs gives every link graph at
-once.  With windows from per-vertex ranks on a 2-manifold, every vertex
-link is connected, so every vertex-facet pair goes; what stays are the
-triangles as roots and each edge's pairs beyond its first triangle.  Where
-two triangles share only a vertex, one pair at that vertex stays and joins
-them.
+pairs (c, f) as nodes; two of them, (c, f) and (c', f), are linked when
+some T has pairs (T, c) and (T, c').  At a key where f is active, each
+such c and T is active too (nesting), so c and c' are joined there through
+pairs (T, c) whose facet c is larger than f.  So one pair per link
+component joins that component to f, and the component of f's tree pair
+needs none: the others are implied.  By induction downwards over the facet
+index, each dropped pair joins two copies that the kept pairs and the
+trees already join, so every label stays the same.  One
+connected-components call over all pairs gives every link graph at once.
+On a 2-manifold every vertex link is connected, so every vertex-facet pair
+goes; what stays are the triangles as roots and each edge's pairs beyond
+its first triangle.  Where two triangles share only a vertex, one pair at
+that vertex stays and joins them.
   Heads.  A component's representative is still its smallest simplex over
 all copies, so node_rep and arc_rep do not change.  At a key where a
-nested facet of s is active, that facet is smaller and joined to s, so s
-is not the smallest there.  Heads therefore take the minimum over the
-candidate copies only: the keys of each window that no nested facet's
-window covers.
-  Plan.  When every pair is nested, the contraction depends on the pairs
-alone, so `sweep_plan` computes it once per face table (with all-zero
-windows) and `SimplicialComplex.sweep_plan` caches it.  A sweep given the
-plan checks that its windows nest every pair and contracts nothing; only
-the head candidates, which depend on the windows, are found on every call.
-The plan also holds what the level test below reads: the star incidences
-(v, s), one per vertex v of each simplex s; the star pairs, one per pair
-(c, f) and vertex v of f, as the incidences (v, c) and (v, f); and the
-edge rows.
+facet of s is active, that facet is smaller and joined to s, so s is not
+the smallest there.  Heads therefore take the minimum over the candidate
+copies only: the keys of each window that no facet's window covers.  These
+are each vertex's whole window and each edge's keys strictly between its
+two vertices' windows.  A simplex s of dimension 2 or more has none: take
+a vertex u of s with the smallest first key and a vertex w with the
+largest last key; s has three vertices or more, so some facet holds both u
+and w, and that facet's window is s's whole window.
+  Plan.  The contraction depends on the face table alone, so `sweep_plan`
+computes it once and `SimplicialComplex.sweep_plan` caches it.  A sweep
+checks its windows and finds its head candidates from the face table's
+vertex rows (blocks), which the plan holds.  The plan also holds what the
+level test below reads: the star incidences (v, s), one per vertex v of
+each simplex s; and the star pairs, one per pair (c, f) and vertex v of f,
+as the incidences (v, c) and (v, f).
 
 Kept levels.  Let vertex v have ranks lo(v) <= hi(v), so that simplex s is
 active on the levels min lo .. max hi over its vertices, and let t be an
@@ -107,18 +110,17 @@ arc up.  The first and the last level are always kept, since nothing is
 active below the first or above the last.
   Merged slabs.  `reeb.window_reeb_graph` maps kept level i (counting kept
 levels from 0) to key 2i and every level between kept levels i - 1 and i
-to slab key 2i - 1.  The map is monotone, so nested pairs stay nested and
-a nested pair is active on its facet's window, as before.  The copies on
-slab key 2i - 1 are the simplices active somewhere strictly between the
-two kept levels, and a nested pair joins two of them exactly when both are
-active on one level or slab there; so its components are the connected
-unions of the components of those levels and slabs.  All the nodes there
-are regular, so each union is a chain from one component of the slab just
-above kept level i - 1 to one of the slab just below kept level i.  Each
-chain becomes one arc, which removes only regular nodes; the components of
-the kept levels, their order and representatives, and the degrees of their
-nodes do not change.  So `reeb._finalize` gives the same graph, bit for
-bit.
+to slab key 2i - 1.  The map is monotone, so hulls stay hulls and a pair
+is active on its facet's window, as before.  The copies on slab key 2i - 1
+are the simplices active somewhere strictly between the two kept levels,
+and a pair joins two of them exactly when both are active on one level or
+slab there; so its components are the connected unions of the components
+of those levels and slabs.  All the nodes there are regular, so each union
+is a chain from one component of the slab just above kept level i - 1 to
+one of the slab just below kept level i.  Each chain becomes one arc,
+which removes only regular nodes; the components of the kept levels, their
+order and representatives, and the degrees of their nodes do not change.
+So `reeb._finalize` gives the same graph, bit for bit.
   Arc ends.  A merged slab's smallest simplex may start or end inside it,
 so an arc's bottom is read from a root copy on the slab whose window
 reaches the key below, and its top from one whose window reaches the key
@@ -205,23 +207,18 @@ def _components(n, a, b):
     return connected_components(graph, directed=False)
 
 
-def _contract(first, last, pair_a, pair_b):
+def _contract(m, pair_a, pair_b):
     """Roots, and the pairs that still need an edge in the block graphs.
 
-    Returns (roots, local, kept, nested): the simplices that are roots of
-    the forest of tree pairs, the root-local index of each simplex's root,
-    the pairs that are neither implied nor between two simplices with one
-    root, and the nested pairs.
+    m is the number of simplices.  Returns (roots, local, kept): the
+    simplices that are roots of the forest of tree pairs, the root-local
+    index of each simplex's root, and the pairs that are neither implied nor
+    between two simplices with one root.
     """
-    m = len(first)
-    nested = np.flatnonzero(
-        (pair_a > pair_b) & (first[pair_a] <= first[pair_b]) & (last[pair_b] <= last[pair_a])
-    )
-    cofacet, facet = pair_a[nested], pair_b[nested]
-    # each facet's first nested pair is its tree pair
-    child, tree = np.unique(facet, return_index=True)
+    # each facet's first pair is its tree pair
+    child, tree = np.unique(pair_b, return_index=True)
     root = np.arange(m)
-    root[child] = cofacet[tree]
+    root[child] = pair_a[tree]
     while True:
         up = root[root]
         if np.array_equal(up, root):
@@ -230,17 +227,17 @@ def _contract(first, last, pair_a, pair_b):
     tree_of = np.empty(m, dtype=np.int64)
     tree_of[child] = tree
     keep = root[pair_a] != root[pair_b]
-    keep[nested[_implied(m, cofacet, facet, tree_of)]] = False
+    keep[_implied(m, pair_a, pair_b, tree_of)] = False
     is_root = root == np.arange(m)
-    return np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[root], np.flatnonzero(keep), nested
+    return np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[root], np.flatnonzero(keep)
 
 
 def _implied(m, cofacet, facet, tree_of):
-    """Which nested pairs (cofacet[i], facet[i]) their links imply.
+    """Which pairs (cofacet[i], facet[i]) their links imply.
 
     tree_of[f] is the position of f's tree pair among them.
     """
-    # chains T > c > f of nested pairs (T, c) and (c, f), by position
+    # chains T > c > f of pairs (T, c) and (c, f), by position
     by_cofacet = np.argsort(cofacet, kind="stable")
     count = np.bincount(cofacet, minlength=m)
     start = np.cumsum(count) - count
@@ -261,32 +258,33 @@ def _implied(m, cofacet, facet, tree_of):
     return implied
 
 
-def _head_candidates(first, last, cofacet, facet):
-    """The keys of each window that no nested facet's window covers.
+def vertex_hulls(blocks, lo, hi):
+    """Per global simplex, the min of lo and the max of hi over its vertices.
 
-    Returns (simplex, first, last), one row per uncovered run of keys.
+    blocks are a face table's per-dimension vertex rows; lo and hi are read
+    at vertex indices only.
     """
-    # per cofacet, in order of its facets' first keys, the last key covered
-    # so far: a running maximum made segmented by adding owner * span
-    order = np.lexsort((first[facet], cofacet))
-    owner, lo, hi = cofacet[order], first[facet[order]], last[facet[order]]
-    span = int(last.max()) + 2 if len(last) else 0
-    reach = np.maximum.accumulate(hi + owner * span) - owner * span
-    new = np.ones(len(owner), dtype=bool)
-    new[1:] = owner[1:] != owner[:-1]
-    end = np.roll(new, -1)
-    covered = np.empty(len(owner), dtype=np.int64)
-    covered[1:] = reach[:-1]
-    covered[new] = first[owner[new]] - 1
-    gap = covered + 1 < lo
-    tail = reach[end] < last[owner[end]]
-    alone = np.ones(len(first), dtype=bool)
-    alone[owner] = False
-    alone = np.flatnonzero(alone)
+    vmin = [lo[b].min(axis=1) for b in blocks]
+    vmax = [hi[b].max(axis=1) for b in blocks]
+    return np.concatenate(vmin), np.concatenate(vmax)
+
+
+def _head_candidates(first, last, blocks):
+    """The keys of each window that no facet's window covers (see Heads).
+
+    Returns (simplex, first, last), one row per uncovered run of keys: each
+    vertex on its whole window, and each edge on the keys strictly between
+    its two vertices' windows.
+    """
+    n = len(blocks[0])
+    u, w = blocks[1].T
+    gap_first = np.minimum(last[u], last[w]) + 1
+    gap_last = np.maximum(first[u], first[w]) - 1
+    gap = np.flatnonzero(gap_first <= gap_last)
     return (
-        np.concatenate([alone, owner[gap], owner[end][tail]]),
-        np.concatenate([first[alone], covered[gap] + 1, reach[end][tail] + 1]),
-        np.concatenate([last[alone], lo[gap] - 1, last[owner[end]][tail]]),
+        np.concatenate([np.arange(n), n + gap]),
+        np.concatenate([first[:n], gap_first[gap]]),
+        np.concatenate([last[:n], gap_last[gap]]),
     )
 
 
@@ -300,7 +298,7 @@ class SweepPlan(NamedTuple):
     star_simplex: np.ndarray
     star_cofacet: np.ndarray
     star_facet: np.ndarray
-    edges: np.ndarray
+    blocks: list
 
 
 def sweep_plan(blocks, pair_a, pair_b):
@@ -311,8 +309,7 @@ def sweep_plan(blocks, pair_a, pair_b):
     """
     sizes = [len(b) for b in blocks]
     start = np.cumsum([0] + sizes)
-    zero = np.zeros(start[-1], dtype=np.int64)
-    roots, local, kept, _ = _contract(zero, zero, pair_a, pair_b)
+    roots, local, kept = _contract(start[-1], pair_a, pair_b)
     # star incidence star_at[d] + q * sizes[d] + j pairs the vertex in column
     # q of row j of dimension d with that simplex
     star_at = np.cumsum([0] + [b.size for b in blocks])
@@ -332,7 +329,6 @@ def sweep_plan(blocks, pair_a, pair_b):
         q_cofacet = q + (q >= np.arange(d + 1)[:, None, None])
         star_cofacet.append((star_at[d] + q_cofacet * m + np.arange(m)).ravel())
         star_facet.append((star_at[d - 1] + q * sizes[d - 1] + facet).ravel())
-    edges = blocks[1] if len(blocks) > 1 else np.empty((0, 2), dtype=np.int64)
     return SweepPlan(
         roots,
         local,
@@ -341,7 +337,7 @@ def sweep_plan(blocks, pair_a, pair_b):
         star_simplex,
         np.concatenate(star_cofacet),
         np.concatenate(star_facet),
-        edges,
+        blocks,
     )
 
 
@@ -369,18 +365,18 @@ def kept_levels(plan, lo_rank, hi_rank, min_rank, max_rank, n_levels):
     keep = np.zeros(n_levels, dtype=bool)
     keep[lo_rank[count[:n_vertices] != 1]] = True
     keep[hi_rank[count[n_vertices:] != 1]] = True
-    u, w = plan.edges.T
+    u, w = plan.blocks[1].T
     for event_u in (lo_rank[u], hi_rank[u]):
         for event_w in (lo_rank[w], hi_rank[w]):
             keep[event_u[event_u == event_w]] = True
     return keep
 
 
-def sweep_quotient(first, last, pair_a, pair_b, n_levels, plan=None):
+def sweep_quotient(first, last, pair_a, pair_b, n_levels, *, plan):
     """The skeleton of the sweep of key windows (see the module docstring).
 
-    With a plan (`sweep_plan` of the face table that pair_a, pair_b come
-    from), the windows must nest every pair and are not contracted again.
+    plan is the `sweep_plan` of the face table that pair_a, pair_b come
+    from, and each window must be the hull of its vertices' windows.
     """
     first = np.asarray(first, dtype=np.int64)
     last = np.asarray(last, dtype=np.int64)
@@ -388,15 +384,11 @@ def sweep_quotient(first, last, pair_a, pair_b, n_levels, plan=None):
     pair_b = np.asarray(pair_b, dtype=np.int64)
     m = len(first)
 
-    if plan is None:
-        roots, local, kept, nested = _contract(first, last, pair_a, pair_b)
-        cofacet, facet = pair_a[nested], pair_b[nested]
-    else:
-        roots, local, kept = plan.roots, plan.local, plan.kept
-        cofacet, facet = pair_a, pair_b
-        if np.any(first[facet] < first[cofacet]) or np.any(last[facet] > last[cofacet]):
-            raise ValueError("a sweep plan needs windows that nest every pair")
-    cand, cand_first, cand_last = _head_candidates(first, last, cofacet, facet)
+    hull_first, hull_last = vertex_hulls(plan.blocks, first, last)
+    if not (np.array_equal(hull_first, first) and np.array_equal(hull_last, last)):
+        raise ValueError("a sweep needs windows that are the hulls of their vertices' windows")
+    roots, local, kept = plan.roots, plan.local, plan.kept
+    cand, cand_first, cand_last = _head_candidates(first, last, plan.blocks)
     root_first, root_last = first[roots], last[roots]
     # the slabs j (key 2j + 1) in each root's window
     slab_first, slab_last = root_first // 2, (root_last - 1) // 2

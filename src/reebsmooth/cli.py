@@ -17,8 +17,9 @@ otherwise), "csv:<path>" (one value per line), "json:<path>"
 
 The stability subcommand takes a --config file (JSON object or
 "key = value" lines) whose keys override its flags.
-Exit codes: 0 success, 2 parse error, 3 guard or validation error, 4 a
-stability report with violations (the report is still written).
+Exit codes: 0 success, 2 parse error or a file that cannot be read or
+written, 3 guard or validation error, 4 a stability report with violations
+(the report is still written).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .fileio import (
     load_mesh,
     load_weighted_points,
     to_dot,
+    write_text,
 )
 from .fileio import load_off  # noqa: F401  unused; traced by perfbench/tracer.py
 from .rangecdf import range_integrated_reeb
@@ -123,8 +125,7 @@ def _emit(graph, args, extra=None):
         payload.update(extra)
     dump_json(payload, args.out)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(graph))
+        write_text(to_dot(graph), args.dot)
     return 0
 
 
@@ -201,8 +202,7 @@ def cmd_fig4(args):
         pick = report["crossover_scales"]
         scale = pick[0] if pick else report["config"]["scales"][0]
         for kind, graph in fig4_graphs(load_fig4_fixture(), scale).items():
-            with open(f"{args.dot}.{kind}.dot", "w", encoding="utf-8") as fh:
-                fh.write(to_dot(graph))
+            write_text(to_dot(graph), f"{args.dot}.{kind}.dot")
     return 0
 
 

@@ -151,9 +151,9 @@ class SimplicialComplex:
     Construction validates the complex and sets `face_table`, the global
     simplex enumeration (vertices first, then dimensions 1, 2, 3, each in row
     order) as a tuple (blocks, first_vertex, pair_a, pair_b): the per-dimension
-    index-row arrays, the smallest vertex index of each global simplex, and
-    every (cofacet, facet) incidence as global indices, per dimension in
-    "drop column p" order.
+    index-row arrays (an edge block even without edges), the smallest vertex
+    index of each global simplex, and every (cofacet, facet) incidence as
+    global indices, per dimension in "drop column p" order.
     """
 
     def __init__(self, vertex_ids, coords, simplices):
@@ -303,7 +303,7 @@ class SimplicialComplex:
         # closure: every codim-1 face is a row one dimension down; where each
         # face sits there is the incidence table
         blocks = [np.arange(n, dtype=np.int64)[:, None]]
-        for d in range(1, self.dim + 1):
+        for d in range(1, max(self.dim, 1) + 1):
             blocks.append(self.simplices.get(d, np.empty((0, d + 1), dtype=np.int64)))
         offsets = np.cumsum([0] + [len(b) for b in blocks])
         pair_a = [np.empty(0, dtype=np.int64)]

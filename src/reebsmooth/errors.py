@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: ParseError -> 2, GuardViolation and
-ValidationError -> 3.  A stability report with violations exits 4 (it is
-not an error: the report is still written).
+ValidationError -> 3.  A file that cannot be read or written is a
+ParseError that names its path, so it exits 2 as well.  A stability report
+with violations exits 4 (it is not an error: the report is still written).
 """
 
 
@@ -11,7 +12,8 @@ class ReebsmoothError(Exception):
 
 
 class ParseError(ReebsmoothError):
-    """Malformed input file (OFF mesh, weighted-point CSV, JSON, config)."""
+    """Malformed input file (OFF mesh, weighted-point CSV, JSON, config), or
+    a file that cannot be read or written."""
 
     def __init__(self, message, path=None, line=None):
         if path is not None and line is not None:

@@ -97,6 +97,10 @@ class ExperimentConfig:
             raise ValidationError("support size must be an integer in [2, 32]")
         if not (_finite(self.jitter) and self.jitter >= 0):
             raise ValidationError("jitter must be finite and non-negative")
+        if not (_finite(self.bump_amplitude) and self.bump_amplitude >= 0):
+            raise ValidationError("bump_amplitude must be finite and non-negative")
+        if not (_finite(self.bandwidth) and self.bandwidth > 0):
+            raise ValidationError("bandwidth must be finite and positive")
         if self.threads is not None and not (
             _finite(self.threads, numbers.Integral) and self.threads >= 1
         ):

@@ -1,8 +1,9 @@
 """Parsers and serializers: OFF meshes, weighted point CSVs, field files,
 config files, JSON, DOT.
 
-Parse errors carry the offending line number.  `dump_json` is the one JSON
-writer; it emits sorted keys so outputs are byte-stable.
+Parse errors carry the offending line number.  `write_text` is the one file
+writer and `dump_json` the one JSON writer; it emits sorted keys so outputs
+are byte-stable.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ def _read(path):
     try:
         with open(path, "rb") as fh:
             return fh.read()
+    except OSError as exc:
+        raise ParseError(str(exc), path=str(path)) from None
+
+
+def write_text(text, path):
+    """Write text to path; an OSError becomes a ParseError naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise ParseError(str(exc), path=str(path)) from None
 
@@ -296,8 +306,7 @@ def dump_json(obj, path=None):
     if not path:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(text, path)
 
 
 # -- DOT -------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _core
-from ._core import _components, kept_levels, sweep_quotient
+from ._core import _components, kept_levels, sweep_quotient, vertex_hulls
 from .complexes import ScalarField, SimplicialComplex, as_scalar_field
 from .errors import GuardViolation, ValidationError
 
@@ -141,7 +141,7 @@ def window_reeb_graph(X, lo, hi):
     levels = np.unique(lo if hi is lo else np.concatenate([lo, hi]))
     lo_rank = np.searchsorted(levels, lo)
     hi_rank = lo_rank if hi is lo else np.searchsorted(levels, hi)
-    min_rank, max_rank = _value_extents(blocks, lo_rank, hi_rank)
+    min_rank, max_rank = vertex_hulls(blocks, lo_rank, hi_rank)
 
     # sweep only the levels that can hold a node, unless every copy of the
     # sweep over all levels fits in one block anyway
@@ -192,13 +192,6 @@ def _finalize(node_values, node_witness, arc_bottom, arc_top):
 # -- direct level-set components ----------------------------------------------
 
 
-def _value_extents(blocks, lo, hi):
-    """Per global simplex, the min of lo and the max of hi over its vertices."""
-    vmin = [lo[b].min(axis=1) for b in blocks]
-    vmax = [hi[b].max(axis=1) for b in blocks]
-    return np.concatenate(vmin), np.concatenate(vmax)
-
-
 def level_components(X, f, c):
     """Connected components of the level set {f = c}, straight from simplices.
 
@@ -209,7 +202,7 @@ def level_components(X, f, c):
     """
     values = _field_values(X, f)
     blocks, _, pair_a, pair_b = X.face_table
-    vmin, vmax = _value_extents(blocks, values, values)
+    vmin, vmax = vertex_hulls(blocks, values, values)
     c = float(c)
     active = np.where((vmin <= c) & (vmax >= c))[0]
     pm = (np.maximum(vmin[pair_a], vmin[pair_b]) <= c) & (

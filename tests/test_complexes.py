@@ -225,7 +225,7 @@ def test_build_closure_and_face_table_match_brute_force(data):
     assert sorted((c[0], c[1], f[1]) for c, f in pairs) == sorted(
         (v, a, b) for a, b in zip(want_a, want_b) for v in simplices[b]
     )
-    assert [tuple(e) for e in plan.edges.tolist()] == expected.get(1, [])
+    assert [tuple(e) for e in plan.blocks[1].tolist()] == expected.get(1, [])
 
 
 def test_single_edge_global_thickening_hand_enumeration():

@@ -141,6 +141,24 @@ def test_cli_build_missing_file_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "route", ["build --out", "build --dot", "stability --out", "fig4 --out", "fig4 --dot"]
+)
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, route):
+    command, flag = route.split()
+    missing = tmp_path / "missing" / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text('trials = 1\nmeshes = ["circle"]\n')
+    argv = {
+        "build": ["build", "--in", str(_write_circle(tmp_path))],
+        "stability": ["stability", "--config", str(cfg)],
+        "fig4": ["fig4", "--scales", "2.25"],
+    }[command]
+    assert main(argv + [flag, str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}") and "Traceback" not in err
+
+
 def test_cli_build_rejects_unknown_vertex_id(tmp_path, capsys):
     mesh = tmp_path / "bad.json"
     vertices = [{"id": 0, "coords": [0.0]}, {"id": 1, "coords": [1.0]}]
@@ -293,6 +311,13 @@ def test_cli_config_json_form(tmp_path):
         "meshes = []",
         "meshes = [3.5]",
         'meshes = "circle"',
+        'bump_amplitude = "x"',
+        "bump_amplitude = -0.1",
+        "bump_amplitude = NaN",
+        'bandwidth = "abc"',
+        "bandwidth = -2",
+        "bandwidth = 0",
+        "bandwidth = Infinity",
     ],
 )
 def test_cli_stability_rejects_invalid_config_values(tmp_path, capsys, line):

@@ -357,15 +357,15 @@ COMPLEX_SHAPES = {
     st.integers(0, 2**32 - 1),
     st.sampled_from(sorted(COMPLEX_SHAPES)),
     st.integers(1, 9),
-    st.sampled_from(["zero", "vertex", "simplex"]),
+    st.sampled_from(["zero", "vertex"]),
 )
 def test_blocked_sweep_matches_per_level_sweep(seed, shape, n_levels, widths):
     # zero: every window is one level; vertex: windows formed from per-vertex
-    # ranks as in smoothing; simplex: an independent window per simplex, so
-    # some pairs never have both ends active
+    # ranks as in smoothing
     rng = np.random.default_rng(seed)
     X = random_complex(rng, *COMPLEX_SHAPES[shape])
-    _assert_every_block_size_matches(X, _random_windows(rng, X, n_levels, widths), n_levels)
+    windows = _simplex_windows(X, *_random_ranks(rng, X, n_levels, widths))
+    _assert_every_block_size_matches(X, windows, n_levels)
 
 
 def _random_ranks(rng, X, n_levels, widths):
@@ -375,32 +375,18 @@ def _random_ranks(rng, X, n_levels, widths):
     return lo, hi
 
 
-def _random_windows(rng, X, n_levels, widths):
-    args = _simplex_windows(X, *_random_ranks(rng, X, n_levels, widths))
-    if widths == "simplex":
-        start = rng.integers(0, n_levels, size=len(args[0]))
-        stop = np.minimum(start + rng.integers(0, 4, size=len(start)), n_levels - 1)
-        args = (start, stop) + args[2:]
-    return args
-
-
 def _assert_every_block_size_matches(X, args, n_levels):
-    # the sweep over every level (key 2t for level t), contracted per call
-    # and, where every pair nests, from the complex's plan
+    # the sweep over every level (key 2t for level t), from the complex's plan
     expected = _per_level_sweep(*args, n_levels)
     min_rank, max_rank, pair_a, pair_b = args
-    nested = np.all(min_rank[pair_a] <= min_rank[pair_b]) and np.all(
-        max_rank[pair_b] <= max_rank[pair_a]
-    )
-    for plan in (None, X.sweep_plan()) if nested else (None,):
-        for block in BLOCK_SIZES:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(_core, "_BLOCK_COPIES", block)
-                got = sweep_quotient(
-                    2 * min_rank, 2 * max_rank, pair_a, pair_b, n_levels, plan=plan
-                )
-            for g, e in zip(got, expected):
-                assert g.dtype == e.dtype and np.array_equal(g, e), block
+    for block in BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_core, "_BLOCK_COPIES", block)
+            got = sweep_quotient(
+                2 * min_rank, 2 * max_rank, pair_a, pair_b, n_levels, plan=X.sweep_plan()
+            )
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and np.array_equal(g, e), block
 
 
 def _random_solid(rng):
@@ -431,39 +417,40 @@ def _pinched(name):
     st.integers(0, 2**32 - 1),
     st.sampled_from(["solid"] + sorted(PINCHED)),
     st.integers(1, 9),
-    st.sampled_from(["zero", "vertex", "simplex"]),
+    st.sampled_from(["zero", "vertex"]),
 )
 def test_contracted_sweep_matches_per_level_sweep_with_tetrahedra(seed, shape, n_levels, widths):
-    # zero and vertex: windows from per-vertex ranks, so every pair is
-    # nested and the contraction prunes links; simplex: independent
-    # windows, so nesting varies from pair to pair
+    # windows from per-vertex ranks, so every pair is nested and the
+    # contraction prunes links
     rng = np.random.default_rng(seed)
     X = _random_solid(rng) if shape == "solid" else _pinched(shape)
-    _assert_every_block_size_matches(X, _random_windows(rng, X, n_levels, widths), n_levels)
+    windows = _simplex_windows(X, *_random_ranks(rng, X, n_levels, widths))
+    _assert_every_block_size_matches(X, windows, n_levels)
 
 
-def _kept_pairs(X, lo, hi):
-    min_rank, max_rank, pair_a, pair_b = _simplex_windows(X, lo, hi)
-    _, _, kept, _ = _core._contract(2 * min_rank, 2 * max_rank, pair_a, pair_b)
+def _kept_pairs(X):
+    _, _, pair_a, pair_b = X.face_table
+    kept = X.sweep_plan().kept
     return pair_a[kept], pair_b[kept]
 
 
 def test_link_pruning_keeps_only_the_pairs_that_join():
-    rng = np.random.default_rng(3)
     # on a closed surface every vertex link is connected: no vertex facet stays
     X, _ = torus_mesh(8, 8)
-    lo = rng.integers(0, 6, size=X.n_vertices)
-    cofacet, facet = _kept_pairs(X, lo, lo + rng.integers(0, 3, size=len(lo)))
+    cofacet, facet = _kept_pairs(X)
     assert len(facet) and np.all(facet >= X.n_vertices)
     # the pinch's joining pair stays, and only it below the top dimension
-    lo = np.zeros(5, dtype=np.int64)
-    cofacet, facet = _kept_pairs(_pinched("triangles at a vertex"), lo, lo)
+    cofacet, facet = _kept_pairs(_pinched("triangles at a vertex"))
     assert facet.tolist() == [0]
     X = _pinched("tetrahedra at an edge")
-    lo = np.zeros(6, dtype=np.int64)
-    cofacet, facet = _kept_pairs(X, lo, lo)
+    cofacet, facet = _kept_pairs(X)
     edges = len(X.simplices[1])
     assert np.count_nonzero(facet < X.n_vertices + edges) == 1
+
+
+def _vertices(m):
+    """A complex of m isolated vertices."""
+    return SimplicialComplex(np.arange(m), np.zeros((m, 1)), {})
 
 
 def test_sweep_head_codes_do_not_wrap():
@@ -474,7 +461,7 @@ def test_sweep_head_codes_do_not_wrap():
     rank = rng.integers(0, n_levels, size=m)
     none = np.empty(0, dtype=np.int64)
     node_level, node_rep, arc_bottom, _, _ = sweep_quotient(
-        2 * rank, 2 * rank, none, none, n_levels
+        2 * rank, 2 * rank, none, none, n_levels, plan=_vertices(m).sweep_plan()
     )
     order = np.lexsort((np.arange(m), rank))
     assert np.array_equal(node_level, rank[order])
@@ -491,10 +478,11 @@ def test_blocked_sweep_matches_per_level_sweep_on_a_torus():
         rank = np.searchsorted(levels, f)
         args = _simplex_windows(X, rank, rank)
         expected = _per_level_sweep(*args, len(levels))
-        for plan in (None, X.sweep_plan()):
-            got = sweep_quotient(2 * args[0], 2 * args[1], *args[2:], len(levels), plan=plan)
-            for g, e in zip(got, expected):
-                assert np.array_equal(g, e)
+        got = sweep_quotient(
+            2 * args[0], 2 * args[1], *args[2:], len(levels), plan=X.sweep_plan()
+        )
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
 
 
 SWEEP_PEAK_MB = 48
@@ -511,9 +499,10 @@ def test_sweep_memory_follows_the_block_size():
     rank = np.searchsorted(levels, f)
     min_rank, max_rank, pair_a, pair_b = _simplex_windows(X, rank, rank)
     assert (max_rank - min_rank + 1).sum() > 10**7
+    plan = X.sweep_plan()
     tracemalloc.start()
     try:
-        out = sweep_quotient(2 * min_rank, 2 * max_rank, pair_a, pair_b, len(levels))
+        out = sweep_quotient(2 * min_rank, 2 * max_rank, pair_a, pair_b, len(levels), plan=plan)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -549,8 +538,9 @@ def test_sweep_memory_on_the_stability_torus():
         windows, key=lambda w: int((w[0][1] - w[0][0] + 1).sum())
     )
     assert len(min_rank) == 144 + 432 + 288 and (max_rank - min_rank + 1).sum() > 10**5
+    plan = call[0].sweep_plan()
     for sweep in (
-        lambda: sweep_quotient(2 * min_rank, 2 * max_rank, pair_a, pair_b, n_levels),
+        lambda: sweep_quotient(2 * min_rank, 2 * max_rank, pair_a, pair_b, n_levels, plan=plan),
         lambda: window_reeb_graph(*call),
     ):
         tracemalloc.start()
@@ -663,16 +653,26 @@ def test_a_slab_without_a_copy_on_its_level_raises(first, last):
     # slab component reaches the level below (above)
     none = np.empty(0, dtype=np.int64)
     with pytest.raises(ValueError, match="no copy on the level below or above"):
-        sweep_quotient(np.array([first]), np.array([last]), none, none, 2)
+        sweep_quotient(
+            np.array([first]), np.array([last]), none, none, 2, plan=_vertices(1).sweep_plan()
+        )
 
 
 def test_a_plan_needs_windows_that_nest_every_pair():
-    X = SimplicialComplex.build([(0, (0.0,)), (1, (1.0,))], [(0, 1)])
-    _, _, pair_a, pair_b = X.face_table
-    with pytest.raises(ValueError, match="nest every pair"):
+    cases = [
         # vertex 0's window [0, 0] is not inside the edge's [2, 2]
-        first, last = np.array([0, 0, 2]), np.array([0, 2, 2])
-        sweep_quotient(first, last, pair_a, pair_b, 2, plan=X.sweep_plan())
+        ((0, 1), [0, 0, 2], [0, 2, 2]),
+        # every pair nests, but the triangle's [0, 4] is wider than the hull
+        # [0, 2] of its vertices' windows (and of its edges')
+        ((0, 1, 2), [0, 0, 0, 0, 0, 0, 0], [0, 0, 2, 0, 2, 2, 4]),
+    ]
+    for row, first, last in cases:
+        X = SimplicialComplex.build([(i, (float(i),)) for i in row], [row])
+        _, _, pair_a, pair_b = X.face_table
+        with pytest.raises(ValueError, match="hulls of their vertices' windows"):
+            sweep_quotient(
+                np.array(first), np.array(last), pair_a, pair_b, 3, plan=X.sweep_plan()
+            )
 
 
 def test_a_complex_builds_its_sweep_plan_once():
