@@ -23,19 +23,13 @@ from .measures import (
     cdf_of_measure,
     dtm,
     dtm_field,
-    empirical_cdf,
     kdist_field,
     kdist_to_measure,
     kernel_distance,
     ks_distance,
     wasserstein2,
 )
-from .rangecdf import (
-    CoordinatewiseCDF,
-    check_monotone_invariance,
-    coordinatewise_ks,
-    range_integrated_reeb,
-)
+from .rangecdf import check_monotone_invariance, range_integrated_reeb
 from .reeb import ReebGraph, is_isomorphic, level_components, reeb_graph
 from .smoothing import (
     InterleavingMapPair,
@@ -52,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContinuousCDF",
-    "CoordinatewiseCDF",
     "DiagramPoint",
     "EmpiricalMeasure",
     "GuardViolation",
@@ -72,10 +65,8 @@ __all__ = [
     "build_local_interleaving",
     "cdf_of_measure",
     "check_monotone_invariance",
-    "coordinatewise_ks",
     "dtm",
     "dtm_field",
-    "empirical_cdf",
     "extended_persistence",
     "interleaving_lower_bound",
     "is_isomorphic",

@@ -70,7 +70,11 @@ def height_field(X):
 
 @dataclass(frozen=True)
 class VectorField:
-    """One value in R^d (d in 1..3) per vertex, index aligned with a complex."""
+    """One value in R^d (d in 1..3) per vertex, index aligned with a complex.
+
+    Serves the vector-valued ambient interleaving maps (acceptance criterion
+    C10).
+    """
 
     values: np.ndarray
 

@@ -16,7 +16,6 @@ import numpy as np
 from .complexes import ScalarField, SimplicialComplex, as_scalar_field
 from .errors import ParseError
 from .measures import EmpiricalMeasure
-from .reeb import ReebGraph
 
 
 def _decode(data):
@@ -26,12 +25,15 @@ def _decode(data):
 
 
 def _read(path):
-    """The bytes of a file; an OSError becomes a ParseError naming the path."""
+    """The bytes of a file; an OSError becomes a ParseError naming the path.
+
+    The message is the OSError's strerror, since str(exc) names the path too.
+    """
     try:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise ParseError(str(exc), path=str(path)) from None
+        raise ParseError(exc.strerror or str(exc), path=str(path)) from None
 
 
 def write_text(text, path):
@@ -40,7 +42,7 @@ def write_text(text, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ParseError(str(exc), path=str(path)) from None
+        raise ParseError(exc.strerror or str(exc), path=str(path)) from None
 
 
 def _content_lines(text):
@@ -245,22 +247,11 @@ def complex_from_dict(data, path=None):
         raise ParseError(f"bad complex JSON: {exc}", path=path) from None
 
 
-def field_to_dict(field):
-    return {"vertex_values": [float(v) for v in as_scalar_field(field).values]}
-
-
 def field_from_dict(data, path=None):
     try:
         return ScalarField(data["vertex_values"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad field JSON: {exc}", path=path) from None
-
-
-def reeb_from_dict(data, path=None):
-    try:
-        return ReebGraph.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad Reeb graph JSON: {exc}", path=path) from None
 
 
 def _parse_json(text, path):
@@ -312,9 +303,9 @@ def dump_json(obj, path=None):
 # -- DOT -------------------------------------------------------------------------
 
 
-def to_dot(graph, name="reeb"):
-    """Graphviz DOT text; nodes at equal values share a rank."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+def to_dot(graph):
+    """Graphviz DOT text of the digraph "reeb"; nodes at equal values share a rank."""
+    lines = ["digraph reeb {", "  rankdir=BT;"]
     for i in range(graph.n_nodes):
         lines.append(f'  n{i} [label="{i}\\n{graph.node_values[i]:.6g}"];')
     by_value = {}

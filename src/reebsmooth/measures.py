@@ -8,7 +8,7 @@ weighted point sets with masses summing to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -50,22 +50,18 @@ class EmpiricalMeasure:
             raise ValidationError("weights must sum to 1 (use from_raw to normalize)")
 
     @classmethod
-    def from_raw(cls, points, weights=None):
-        """Normalize raw nonnegative weights (default uniform) to total mass 1."""
+    def from_raw(cls, points, weights):
+        """Normalize raw nonnegative weights to total mass 1."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if weights is None:
-            w = np.full(len(pts), 1.0 / max(len(pts), 1))
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            if np.any(w < 0):
-                raise ValidationError("weights must be nonnegative")
-            total = float(w.sum())
-            if total <= 0:
-                raise ValidationError("total mass must be positive")
-            w = w / total
-        return cls(pts, w)
+        w = np.asarray(weights, dtype=np.float64)
+        if np.any(w < 0):
+            raise ValidationError("weights must be nonnegative")
+        total = float(w.sum())
+        if total <= 0:
+            raise ValidationError("total mass must be positive")
+        return cls(pts, w / total)
 
     @property
     def dim(self):
@@ -121,21 +117,11 @@ def _dtm_many(mu, m, query):
 
 
 def dtm(mu, m, x):
-    """Distance to the measure mu with mass parameter m, at the point x."""
+    """Distance to the measure mu with mass parameter m, at the point x.
+
+    Serves the dtm stability statement (acceptance criterion C05).
+    """
     return float(_dtm_many(mu, m, np.atleast_1d(np.asarray(x, dtype=np.float64)))[0])
-
-
-def quantile_radius(mu, s, x):
-    """The s-quantile distance: inf{r > 0 : mu(closed ball(x, r)) > s}."""
-    if not (0.0 <= s < 1.0 + MASS_TOL):
-        raise ValidationError("quantile level must lie in [0, 1]")
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    d = np.sqrt(((mu.points - x[None, :]) ** 2).sum(axis=1))
-    order = np.argsort(d, kind="stable")
-    cum = np.cumsum(mu.weights[order])
-    idx = int(np.searchsorted(cum, s, side="right"))
-    idx = min(idx, len(cum) - 1)
-    return float(d[order][idx])
 
 
 # -- kernel distances ----------------------------------------------------------
@@ -161,7 +147,10 @@ def _kdist_many(mu, K, query):
 
 
 def kdist_to_measure(mu, K, x):
-    """Kernel distance between mu and the unit mass at x."""
+    """Kernel distance between mu and the unit mass at x.
+
+    Serves the kernel-distance stability statement (acceptance criterion C05).
+    """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if len(x) != mu.dim:
         raise ValidationError("query dimension does not match measure")
@@ -184,7 +173,8 @@ def wasserstein2(mu, nu):
     """Exact 2-Wasserstein distance for small supports via the transport LP.
 
     The solver returns a primal feasible coupling, so any residual error
-    overestimates the distance; downstream inequality checks stay one-sided.
+    overestimates the distance.  W2 enters the stability upper bound, so an
+    overestimate makes a trial easier to pass, not harder.
     """
     if mu.dim != nu.dim:
         raise ValidationError("measure dimensions differ")
@@ -245,30 +235,21 @@ class ContinuousCDF:
         return bool(np.all(slopes[overlap] > 0))
 
 
-def empirical_cdf(samples, weights=None):
-    """Continuous surrogate CDF of a weighted 1-d sample.
+def cdf_of_measure(mu):
+    """Continuous surrogate CDF of a 1-d empirical measure.
 
-    Duplicate samples merge.  Knots sit at the distinct sorted values with the
+    Duplicate points merge.  Knots sit at the distinct sorted values with the
     cumulative mass, plus one leading knot half a first-gap below the minimum
     where the CDF is 0, so the full rise from 0 to 1 happens on a compact
     interval and clamping matches a genuine CDF at infinity.
     """
-    x = np.asarray(samples, dtype=np.float64).ravel()
-    if weights is None:
-        w = np.full(len(x), 1.0)
-    else:
-        w = np.asarray(weights, dtype=np.float64).ravel()
-        if len(w) != len(x):
-            raise ValidationError("samples and weights length mismatch")
-        if np.any(w < 0):
-            raise ValidationError("weights must be nonnegative")
-    total = float(w.sum())
-    if total <= 0:
-        raise ValidationError("total mass must be positive")
-    w = w / total
-    xs, inverse = np.unique(x, return_inverse=True)
+    if mu.dim != 1:
+        raise ValidationError("CDFs need 1-d measures")
+    # weights sum to 1 only within MASS_TOL; renormalizing fixes the values' last bits
+    w = mu.weights / float(mu.weights.sum())
+    xs, inverse = np.unique(mu.points[:, 0], return_inverse=True)
     if len(xs) < 2:
-        raise ValidationError("empirical_cdf needs at least 2 distinct values")
+        raise ValidationError("a CDF needs at least 2 distinct values")
     ws = np.zeros(len(xs))
     np.add.at(ws, inverse, w)
     cum = np.cumsum(ws)
@@ -279,13 +260,6 @@ def empirical_cdf(samples, weights=None):
     knots = np.concatenate([[lead], xs])
     values = np.concatenate([[0.0], cum])
     return ContinuousCDF(knots, values)
-
-
-def cdf_of_measure(mu):
-    """Surrogate CDF of a 1-d empirical measure."""
-    if mu.dim != 1:
-        raise ValidationError("CDFs need 1-d measures")
-    return empirical_cdf(mu.points[:, 0], mu.weights)
 
 
 def ks_distance(F, G):

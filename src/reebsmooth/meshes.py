@@ -1,4 +1,6 @@
-"""Built-in meshes and fields used by the CLI demos and the test suite."""
+"""Built-in meshes and fields for the stability harness (`experiments`) and
+the test suite; `cli` reaches it only through `experiments`.
+"""
 
 import numpy as np
 

@@ -5,48 +5,16 @@ Composing a scalar field with a continuous CDF squashes its range into
 monotone composition leaves the Reeb graph unchanged up to relabeling the
 values; plateaus of the CDF collapse the corresponding bands exactly,
 because vertices whose values fall in one flat segment all map to the same
-float.  For vector-valued fields each coordinate gets its own CDF.
+float.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .complexes import ScalarField, VectorField, as_scalar_field
-from .errors import ValidationError
-from .measures import ContinuousCDF, cdf_of_measure, ks_distance
+from .complexes import ScalarField, as_scalar_field
+from .measures import cdf_of_measure
 from .reeb import ReebGraph, is_isomorphic, reeb_graph
-
-
-@dataclass(frozen=True)
-class CoordinatewiseCDF:
-    """One CDF per coordinate of a vector-valued field."""
-
-    cdfs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "cdfs", tuple(self.cdfs))
-        if not self.cdfs:
-            raise ValidationError("needs at least one coordinate CDF")
-        for c in self.cdfs:
-            if not isinstance(c, ContinuousCDF):
-                raise ValidationError("coordinates must be ContinuousCDF")
-
-    @property
-    def dim(self):
-        return len(self.cdfs)
-
-    def lipschitz_bound(self):
-        return max(c.lipschitz_bound() for c in self.cdfs)
-
-
-def coordinatewise_ks(F, G):
-    """max over coordinates of the KS distance (the sup-norm convention)."""
-    if F.dim != G.dim:
-        raise ValidationError("coordinate counts differ")
-    return max(ks_distance(a, b) for a, b in zip(F.cdfs, G.cdfs))
 
 
 def compose_cdf(f, F):
@@ -54,31 +22,21 @@ def compose_cdf(f, F):
     return ScalarField(F(as_scalar_field(f).values))
 
 
-def coordinatewise_transform(f, F):
-    """Each coordinate of a vector field through its own CDF."""
-    vals = f.values if isinstance(f, VectorField) else np.asarray(f, dtype=np.float64)
-    if vals.ndim != 2 or vals.shape[1] != F.dim:
-        raise ValidationError("field width does not match the CDF count")
-    cols = [F.cdfs[j](vals[:, j]) for j in range(F.dim)]
-    return VectorField(np.stack(cols, axis=1))
-
-
-def range_integrated_reeb(X, f, measure_or_cdf):
-    """Reeb graph of the field pushed through a CDF; returns (graph, cdf).
-
-    `measure_or_cdf` is a 1-d empirical measure (its surrogate CDF is built
-    here) or a ready ContinuousCDF.
-    """
-    F = measure_or_cdf if isinstance(measure_or_cdf, ContinuousCDF) else cdf_of_measure(measure_or_cdf)
+def range_integrated_reeb(X, f, mu):
+    """Reeb graph of the field pushed through the surrogate CDF of the 1-d
+    empirical measure mu; returns (graph, cdf)."""
+    F = cdf_of_measure(mu)
     return reeb_graph(X, compose_cdf(f, F)), F
 
 
-def check_monotone_invariance(X, f, F, value_tol=1e-9):
+def check_monotone_invariance(X, f, F):
     """Does composing with F only relabel the Reeb graph's values?
 
+    This is the monotone-invariance statement (acceptance criterion C08).
     Applicable when F is strictly increasing across the field's range and no
     two distinct values collide in floating point after mapping.  Then the
-    composed graph must be isomorphic to the original with remapped values.
+    composed graph must be isomorphic to the original with remapped values
+    (`is_isomorphic`'s default value tolerance, 1e-9).
     """
     f = as_scalar_field(f)
     lo, hi = float(f.values.min()), float(f.values.max())
@@ -100,7 +58,7 @@ def check_monotone_invariance(X, f, F, value_tol=1e-9):
         return report
     composed = reeb_graph(X, compose_cdf(f, F))
     remapped = ReebGraph(mapped_nodes, base.node_reps, base.edges)
-    report["passed"] = bool(is_isomorphic(composed, remapped, value_tol=value_tol))
+    report["passed"] = bool(is_isomorphic(composed, remapped))
     if not report["passed"]:
         report["reason"] = "composed graph differs from the value-remapped original"
     return report

@@ -222,7 +222,8 @@ def is_isomorphic(g1, g2, value_tol=1e-9):
 
     Nodes may only map to nodes whose value differs by at most value_tol and
     whose (down, up) degrees match; edge multiplicities must agree.  Uses
-    backtracking, guarded to ISO_MAX_NODES nodes.
+    backtracking, guarded to ISO_MAX_NODES nodes.  Serves the monotone
+    invariance statement (acceptance criterion C08).
     """
     if g1.n_nodes != g2.n_nodes or g1.n_edges != g2.n_edges:
         return False

@@ -108,7 +108,10 @@ def _smoothed(X, fld, r_values):
 
 
 def smooth_global(domain, f, eps):
-    """Reeb graph of the eps-thickened field (constant radius eps)."""
+    """Reeb graph of the eps-thickened field (constant radius eps).
+
+    Serves the eps-smoothing contraction statement (acceptance criterion C03).
+    """
     X, fld = _coerce_domain(domain, f)
     return _smoothed(X, fld, constant_radii(X, eps))
 
@@ -159,7 +162,6 @@ class InterleavingMapPair:
     eps: float
     forward: VertexMap
     backward: VertexMap
-    base: SimplicialComplex
     context: dict
 
 
@@ -194,7 +196,6 @@ def build_local_interleaving(X, f, r1, r2):
         eps=eps,
         forward=fwd,
         backward=bwd,
-        base=X,
         context={"f": f, "r1": r1, "r2": r2, "field1": field1, "field2": field2},
     )
 
@@ -203,7 +204,8 @@ def build_ambient_interleaving(X, f, g):
     """Maps between (X, f) and (X, g): x maps to (x, f(x) - g(x)).
 
     Works for scalar or vector-valued fields; eps is the sup-norm gap, which
-    PL interpolation attains at a vertex.
+    PL interpolation attains at a vertex.  Serves the interleaving-map
+    verification statement (acceptance criterion C10).
     """
     fm = _field_matrix(f)
     gm = _field_matrix(g)
@@ -220,12 +222,15 @@ def build_ambient_interleaving(X, f, g):
         eps=eps,
         forward=fwd,
         backward=bwd,
-        base=X,
         context={"f": fm, "g": gm},
     )
 
 
 # -- verification --------------------------------------------------------------
+
+
+_PRESERVATION_TOL = 1e-12
+_COMMUTATIVITY_TOL = 1e-9
 
 
 def _as_report(checked, max_violation, tol):
@@ -237,8 +242,9 @@ def _as_report(checked, max_violation, tol):
     }
 
 
-def verify_function_preservation(pair, tol=1e-12):
-    """Check the thickened field value survives each map: target + residual = source."""
+def verify_function_preservation(pair):
+    """Check the thickened field value survives each map: target + residual =
+    source, to within 1e-12."""
     if pair.kind == "local":
         f = pair.context["f"].values
         worst = 0.0
@@ -250,25 +256,26 @@ def verify_function_preservation(pair, tol=1e-12):
             target = f[vm.base] + vm.target_offset
             worst = max(worst, float(np.abs(target + vm.residual - source).max()))
             n += len(source)
-        return _as_report(n, worst, tol)
+        return _as_report(n, worst, _PRESERVATION_TOL)
     fm, gm = pair.context["f"], pair.context["g"]
     worst = 0.0
     for vm, src, dst in ((pair.forward, fm, gm), (pair.backward, gm, fm)):
         worst = max(worst, float(np.abs(dst + vm.residual - src).max()))
-    return _as_report(2 * fm.size, worst, tol)
+    return _as_report(2 * fm.size, worst, _PRESERVATION_TOL)
 
 
-def verify_commutativity(pair, samples=16, tol=1e-9):
+def verify_commutativity(pair):
     """Check both round trips land next to the identity inclusion.
 
     For local pairs the composed image ((x, tau), t - tau) is joined to the
     inclusion image ((x, t), 0) by the straight path
         s -> ((x, tau + s (t - tau)), (1 - s)(t - tau)),
     which must stay inside the source thickening, keep its leftover coordinate
-    within 2 eps, and carry a constant field value.  For ambient pairs the
-    round-trip offsets cancel and the images must coincide outright.
+    within 2 eps, and carry a constant field value; the path is checked at 16
+    evenly spaced s, to within 1e-9.  For ambient pairs the round-trip
+    offsets cancel and the images must coincide outright.
     """
-    s_grid = np.linspace(0.0, 1.0, samples)[:, None]
+    s_grid = np.linspace(0.0, 1.0, 16)[:, None]
     if pair.kind == "local":
         f = pair.context["f"].values
         r_self = (pair.context["r1"].values, pair.context["r2"].values)
@@ -290,7 +297,7 @@ def verify_commutativity(pair, samples=16, tol=1e-9):
             drift = max(drift, float(np.abs(value - source_value[None, :]).max()))
             n += off1.size
         worst = max(drift, excess)
-        report = _as_report(n, worst, tol)
+        report = _as_report(n, worst, _COMMUTATIVITY_TOL)
         report["max_field_drift"] = float(drift)
         report["max_region_excess"] = float(excess)
         return report
@@ -301,6 +308,6 @@ def verify_commutativity(pair, samples=16, tol=1e-9):
         (pair.backward, pair.forward),
     ):
         gap = max(gap, float(np.abs(vm_out.residual + vm_back.residual).max()))
-    report = _as_report(2 * pair.forward.residual.size, gap, tol)
+    report = _as_report(2 * pair.forward.residual.size, gap, _COMMUTATIVITY_TOL)
     report["exact"] = bool(gap == 0.0)
     return report

@@ -1,8 +1,11 @@
 """Stability harness, fig4 sweep, and the CLI wiring."""
 
+import errno
 import importlib
+import inspect
 import json
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -137,8 +140,9 @@ def test_cli_build_writes_graph(tmp_path, capsys):
 
 
 def test_cli_build_missing_file_exit_2(tmp_path, capsys):
-    assert main(["build", "--in", str(tmp_path / "nope.off")]) == 2
-    assert "error" in capsys.readouterr().err
+    missing = tmp_path / "nope.off"
+    assert main(["build", "--in", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: {missing}: {os.strerror(errno.ENOENT)}\n"
 
 
 @pytest.mark.parametrize(
@@ -155,8 +159,27 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys, route):
         "fig4": ["fig4", "--scales", "2.25"],
     }[command]
     assert main(argv + [flag, str(missing)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {missing}") and "Traceback" not in err
+    written = f"{missing}.dtm.dot" if route == "fig4 --dot" else missing  # fig4 --dot is a prefix
+    assert capsys.readouterr().err == f"error: {written}: {os.strerror(errno.ENOENT)}\n"
+
+
+@pytest.mark.parametrize("case", ["read measure", "write onto a directory"])
+def test_cli_io_errors_name_the_path_once(tmp_path, capsys, case):
+    mesh, absent = str(_write_circle(tmp_path)), tmp_path / "absent.csv"
+    argv, path, code = {
+        "read measure": (
+            ["smooth", "--in", mesh, "--dtm", "0.2", "--measure", str(absent)],
+            absent,
+            errno.ENOENT,
+        ),
+        "write onto a directory": (
+            ["build", "--in", mesh, "--out", str(tmp_path)],
+            tmp_path,
+            errno.EISDIR,
+        ),
+    }[case]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {os.strerror(code)}\n"
 
 
 def test_cli_build_rejects_unknown_vertex_id(tmp_path, capsys):
@@ -421,6 +444,55 @@ def test_readme_cli_lines_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+def test_readme_quick_start_runs():
+    # a name removed from the library cannot stay in the quick start
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["g"].n_nodes == 2 and scope["g"].edges.tolist() == [[0, 1], [0, 1]]
+    assert scope["g_eps"].betti1() == 1 and scope["g_flat"].betti1() == 0
+
+
+REMOVED_NAMES = (
+    "CoordinatewiseCDF",
+    "coordinatewise_ks",
+    "coordinatewise_transform",
+    "empirical_cdf",
+    "field_to_dict",
+    "quantile_radius",
+    "reeb_from_dict",
+)
+
+
+def test_package_all_resolves_and_removed_names_stay_gone():
+    assert len(set(reebsmooth.__all__)) == len(reebsmooth.__all__)
+    for name in reebsmooth.__all__:
+        assert getattr(reebsmooth, name, None) is not None, name
+    modules = [reebsmooth] + [
+        importlib.import_module(f"reebsmooth.{info.name}")
+        for info in pkgutil.iter_modules(reebsmooth.__path__)
+        if info.name != "__main__"
+    ]
+    for module in modules:
+        for name in REMOVED_NAMES:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(importlib.import_module("reebsmooth.fileio"), "ReebGraph")
+    assert "base" not in reebsmooth.InterleavingMapPair.__dataclass_fields__
+    # parameters that no caller set are constants now
+    for func, params in (
+        (reebsmooth.check_monotone_invariance, ["X", "f", "F"]),
+        (reebsmooth.range_integrated_reeb, ["X", "f", "mu"]),
+        (reebsmooth.verify_function_preservation, ["pair"]),
+        (reebsmooth.verify_commutativity, ["pair"]),
+        (to_dot, ["graph"]),
+    ):
+        assert list(inspect.signature(func).parameters) == params, func.__name__
+    weights = inspect.signature(reebsmooth.EmpiricalMeasure.from_raw).parameters["weights"]
+    assert weights.default is inspect.Parameter.empty
 
 
 def _project_scripts():

@@ -6,23 +6,21 @@ import numpy as np
 import pytest
 
 from reebsmooth.cli import main
-from reebsmooth.complexes import ScalarField, SimplicialComplex
+from reebsmooth.complexes import SimplicialComplex
 from reebsmooth.errors import ParseError
 from reebsmooth.fileio import (
     complex_from_dict,
     complex_to_dict,
     dump_json,
     field_from_dict,
-    field_to_dict,
     load_field_csv,
     load_json,
     parse_off,
     parse_weighted_points,
-    reeb_from_dict,
     to_dot,
 )
 from reebsmooth.meshes import circle_complex, torus_mesh
-from reebsmooth.reeb import is_isomorphic, reeb_graph
+from reebsmooth.reeb import ReebGraph, is_isomorphic, reeb_graph
 
 GOOD_OFF = """OFF
 # a comment
@@ -312,15 +310,14 @@ def test_complex_json_rejects_rows_not_of_their_dimension(tmp_path, capsys, simp
 
 
 def test_field_dict_round_trip():
-    f = ScalarField(np.array([0.5, -1.25, 3.0]))
-    f2 = field_from_dict(field_to_dict(f))
-    assert np.array_equal(f.values, f2.values)
+    f = field_from_dict({"vertex_values": [0.5, -1.25, 3.0]})
+    assert np.array_equal(f.values, [0.5, -1.25, 3.0])
 
 
 def test_reeb_json_round_trip():
     X, f = circle_complex(16)
     g = reeb_graph(X, f)
-    g2 = reeb_from_dict(g.to_dict())
+    g2 = ReebGraph.from_dict(json.loads(json.dumps(g.to_dict())))
     assert np.array_equal(g.node_values, g2.node_values)
     assert np.array_equal(g.edges, g2.edges)
 
@@ -352,8 +349,6 @@ def test_to_dot_shape():
 
 
 def test_to_dot_ranks_tied_values():
-    from reebsmooth.reeb import ReebGraph
-
     g = ReebGraph(
         np.array([0.0, 0.0, 1.0]),
         np.array([0, 1, 2]),

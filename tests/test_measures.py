@@ -18,12 +18,10 @@ from reebsmooth.measures import (
     cdf_of_measure,
     dtm,
     dtm_field,
-    empirical_cdf,
     kdist_field,
     kdist_to_measure,
     kernel_distance,
     ks_distance,
-    quantile_radius,
     wasserstein2,
     _sqrt_clamped,
 )
@@ -71,16 +69,6 @@ def test_dtm_matches_grid_on_random_instances():
         x = rng.normal(size=2)
         m = float(rng.uniform(0.1, 1.0))
         assert dtm(mu, m, x) == pytest.approx(dtm_grid_oracle(mu, m, x), abs=2e-5)
-
-
-def test_quantile_radius_step_function_monotone_in_s():
-    # delta_{mu,s} nondecreasing in s implies the dtm integrand is monotone
-    rng = np.random.default_rng(1)
-    mu = EmpiricalMeasure(rng.normal(size=(9, 2)), rng.dirichlet(np.ones(9)))
-    x = rng.normal(size=2)
-    s = np.linspace(1e-6, 1.0, 400)
-    vals = np.array([quantile_radius(mu, float(si), x) for si in s])
-    assert np.all(np.diff(vals) >= 0)
 
 
 def test_dtm_rejects_bad_mass():

@@ -6,14 +6,7 @@ import pytest
 from reebsmooth.complexes import ScalarField, SimplicialComplex
 from reebsmooth.measures import ContinuousCDF, EmpiricalMeasure, cdf_of_measure, ks_distance
 from reebsmooth.meshes import circle_complex, random_complex, random_field, torus_mesh
-from reebsmooth.rangecdf import (
-    CoordinatewiseCDF,
-    check_monotone_invariance,
-    compose_cdf,
-    coordinatewise_ks,
-    coordinatewise_transform,
-    range_integrated_reeb,
-)
+from reebsmooth.rangecdf import check_monotone_invariance, compose_cdf, range_integrated_reeb
 from reebsmooth.reeb import is_isomorphic, reeb_graph
 
 
@@ -83,7 +76,7 @@ def test_affine_cdf_transforms_node_values_affinely():
     lo, hi = float(f.values.min()) - 0.5, float(f.values.max()) + 0.5
     F = ContinuousCDF(np.array([lo, hi]), np.array([0.0, 1.0]))
     base = reeb_graph(X, f)
-    graph, _ = range_integrated_reeb(X, f, F)
+    graph = reeb_graph(X, compose_cdf(f, F))
     expected = (base.node_values - lo) / (hi - lo)
     assert np.allclose(np.sort(graph.node_values), np.sort(expected), atol=1e-12)
     assert is_isomorphic(
@@ -129,8 +122,8 @@ def test_splitting_edges_at_cdf_knots_never_changes_the_graph():
         values[0], values[-1] = 0.0, 1.0  # rounding leaves flat segments
         F = ContinuousCDF(knots, values)
         X2, f2 = _split_at_knots(X, f, F.knots[1:-1])
-        g_plain, _ = range_integrated_reeb(X, f, F)
-        g_split, _ = range_integrated_reeb(X2, f2, F)
+        g_plain = reeb_graph(X, compose_cdf(f, F))
+        g_split = reeb_graph(X2, compose_cdf(f2, F))
         assert is_isomorphic(g_plain, g_split, value_tol=0.0)
 
 
@@ -156,29 +149,3 @@ def test_lipschitz_bound_controls_composition():
         lhs = float(np.max(np.abs(F(f.values) - F(g.values))))
         rhs = F.lipschitz_bound() * float(np.max(np.abs(f.values - g.values)))
         assert lhs <= rhs + 1e-12
-
-
-def test_coordinatewise_cdf_dim_and_ks():
-    F1 = cdf_of_measure(_uniform_1d([0.0, 1.0]))
-    F2 = cdf_of_measure(_uniform_1d([0.0, 2.0]))
-    G1 = cdf_of_measure(_uniform_1d([0.0, 3.0]))
-    F = CoordinatewiseCDF((F1, F2))
-    G = CoordinatewiseCDF((G1, F2))
-    assert F.dim == 2
-    assert F.lipschitz_bound() == pytest.approx(max(F1.lipschitz_bound(), F2.lipschitz_bound()))
-    assert coordinatewise_ks(F, G) == pytest.approx(ks_distance(F1, G1), abs=1e-12)
-    assert coordinatewise_ks(F, F) == 0.0
-
-
-def test_coordinatewise_transform_identity_marginals():
-    F = CoordinatewiseCDF(
-        (
-            ContinuousCDF(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
-            ContinuousCDF(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
-        )
-    )
-    from reebsmooth.complexes import VectorField
-
-    vals = np.random.default_rng(1).uniform(0, 1, size=(10, 2))
-    out = coordinatewise_transform(VectorField(vals), F)
-    assert np.allclose(out.values, vals, atol=1e-15)
