@@ -3,9 +3,11 @@
 A complex stores an id-sorted vertex table (integer ids, coordinates in R^k,
 k <= 3) and, per dimension, an array of simplices as vertex-index rows, each
 row ascending and the rows strictly increasing in lexicographic order.
-Complexes are closed under taking faces.  Validation checks all of this with
-whole-array operations.  Its closure check looks every codim-1 face up one
-dimension down, and the positions it finds are the complex's incidence table
+Complexes are closed under taking faces.  `SimplicialComplex.build` is the
+one route from raw input arrays: every reader, mesh builder and the
+thickening calls it.  Validation checks all of this with whole-array
+operations.  Its closure check looks every codim-1 face up one dimension
+down, and the positions it finds are the complex's incidence table
 (`SimplicialComplex.face_table`), which the sweeps in `reeb` read together
 with its sweep plan (`SimplicialComplex.sweep_plan`, computed once).
 
@@ -96,13 +98,6 @@ class VectorField:
         return len(self.values)
 
 
-def _as_index_rows(simplices, dim):
-    arr = np.asarray(simplices, dtype=np.int64)
-    if arr.size == 0:
-        return np.empty((0, dim + 1), dtype=np.int64)
-    return arr
-
-
 def _row_keys(rows):
     """One opaque key per row that compares like the row in lex order.
 
@@ -145,12 +140,15 @@ class SimplicialComplex:
 
     Parameters
     ----------
-    vertex_ids : (n,) int array, strictly increasing (use `build` for raw input)
+    vertex_ids : (n,) int array, strictly increasing
     coords : (n, k) float array, 1 <= k <= 3
     simplices : dict dim -> (m, dim+1) int array of vertex *indices*, each
         row ascending and the rows strictly increasing in lexicographic order
         (both checked).  Dimension 0 is implied by the vertex table and must
         not be passed.
+
+    `build` takes the same three inputs raw: ids in any order, and rows of
+    vertex ids in any order, not yet closed under faces.
 
     Construction validates the complex and sets `face_table`, the global
     simplex enumeration (vertices first, then dimensions 1, 2, 3, each in row
@@ -166,11 +164,9 @@ class SimplicialComplex:
         if coords.ndim == 1:
             coords = coords[:, None]
         self.coords = coords
-        self.simplices = {
-            int(d): _as_index_rows(rows, int(d)) for d, rows in simplices.items()
-        }
+        rows = {int(d): np.asarray(r, dtype=np.int64) for d, r in simplices.items()}
         # drop empty dimensions for a canonical shape
-        self.simplices = {d: r for d, r in self.simplices.items() if len(r)}
+        self.simplices = {d: r for d, r in rows.items() if r.size}
         self._diameter = None
         self._plan = None
         self.validate()
@@ -178,36 +174,41 @@ class SimplicialComplex:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, vertices, simplices):
-        """Build a closed complex from raw data.
+    def build(cls, vertex_ids, coords, simplices):
+        """Build a closed complex from raw arrays; the one raw-input route.
 
-        vertices: iterable of (id, coords) pairs; simplices: iterable of
-        vertex-id tuples (any dimensions, any order).  All faces are added.
+        vertex_ids: (n,) integer array of distinct ids, in any order.
+        coords: (n, k) or (n,) array, row-aligned with vertex_ids.
+        simplices: dict dim -> (m, dim+1) rows of vertex *ids*, in any row
+        and column order.  Dimension-0 rows are checked for unknown ids and
+        then dropped, since the vertex table implies them.  The vertices are
+        sorted by id and all faces are added.
         """
-        items = list(vertices)
-        if not items:
-            raise ValidationError("complex needs at least one vertex")
         try:
-            ids = np.array([int(i) for i, _ in items], dtype=np.int64)
+            ids = np.asarray(vertex_ids, dtype=np.int64)
         except OverflowError:
             raise ValidationError("vertex ids must fit in 64 bits") from None
-        if len(np.unique(ids)) != len(ids):
-            raise ValidationError("duplicate vertex ids")
+        if ids.size == 0:
+            raise ValidationError("complex needs at least one vertex")
         order = np.argsort(ids)
         ids = ids[order]
-        coords = np.asarray([np.atleast_1d(items[i][1]) for i in order], dtype=np.float64)
-        by_size = {}
-        for simplex in simplices:
-            simplex = tuple(simplex)
-            by_size.setdefault(len(simplex), []).append(simplex)
+        if np.any(ids[1:] == ids[:-1]):
+            raise ValidationError("duplicate vertex ids")
+        if len(coords) != len(ids):
+            raise ValidationError("coords misaligned with vertex table")
         by_dim = {}
-        for size, given in sorted(by_size.items()):
-            if size == 0:
-                continue
+        for d, given in sorted(simplices.items()):
+            width = f"dimension-{d} rows must have {d + 1} vertices"
             try:
-                raw = np.array(given, dtype=np.int64)
+                raw = np.asarray(given, dtype=np.int64)
             except OverflowError:
                 raise ValidationError("simplex references an unknown vertex id") from None
+            except ValueError:
+                raise ValidationError(width) from None
+            if raw.size == 0:
+                continue
+            if raw.ndim != 2 or raw.shape[1] != d + 1:
+                raise ValidationError(width)
             rows = np.searchsorted(ids, raw)
             unknown = ids[np.minimum(rows, len(ids) - 1)] != raw
             if np.any(unknown):
@@ -215,14 +216,13 @@ class SimplicialComplex:
             rows.sort(axis=1)
             repeated = np.any(rows[:, 1:] == rows[:, :-1], axis=1)
             if np.any(repeated):
-                bad = given[int(np.argmax(repeated))]
+                bad = tuple(raw[np.argmax(repeated)].tolist())
                 raise ValidationError(f"degenerate simplex (repeated vertex): {bad}")
-            d = size - 1
             if d > MAX_COMPLEX_DIM:
                 raise ValidationError(f"simplex dimension {d} exceeds maximum {MAX_COMPLEX_DIM}")
             if d > 0:
                 by_dim[d] = rows
-        return cls(ids, coords, _close(by_dim))
+        return cls(ids, np.asarray(coords, dtype=np.float64)[order], _close(by_dim))
 
     # -- basic properties ----------------------------------------------------
 
@@ -417,13 +417,13 @@ def _thicken(X, f, r_values):
         coords = np.concatenate([coords, offset[:, None]], axis=1)
 
     top = {}
-    vertex_rows = np.arange(X.n_vertices, dtype=np.int64)[:, None]
-    for rows in [vertex_rows] + [X.simplices[d] for d in sorted(X.simplices)]:
+    for rows in X.face_table[0]:
         # lower prism, then upper prism
         for prism in _staircase_rows(rows, 0, 1) + _staircase_rows(rows, 1, 2):
             top.setdefault(prism.shape[1] - 1, []).append(prism)
-    closed = _close({d: np.concatenate(chunks) for d, chunks in top.items()})
-    thick = SimplicialComplex(np.arange(3 * X.n_vertices, dtype=np.int64), coords, closed)
+    thick = SimplicialComplex.build(
+        np.arange(3 * X.n_vertices), coords, {d: np.concatenate(c) for d, c in top.items()}
+    )
     return ThickenedComplex(
         complex=thick,
         base_index=base_index,

@@ -18,7 +18,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from importlib.resources import files
 
@@ -82,7 +81,7 @@ class ExperimentConfig:
     bandwidth: float = 0.5
     bump_amplitude: float = 0.15
     jitter: float = 0.08
-    threads: int | None = None
+    threads: int | None = None  # None or 1: trials run in order on one thread
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -102,9 +101,9 @@ class ExperimentConfig:
         if not (_finite(self.bandwidth) and self.bandwidth > 0):
             raise ValidationError("bandwidth must be finite and positive")
         if self.threads is not None and not (
-            _finite(self.threads, numbers.Integral) and self.threads >= 1
+            _finite(self.threads, numbers.Integral) and self.threads == 1
         ):
-            raise ValidationError("threads must be a positive integer")
+            raise ValidationError("threads must be 1: trials run on one thread")
         if not (
             isinstance(self.meshes, (list, tuple))
             and self.meshes
@@ -222,16 +221,9 @@ def _run_trial(config, meshes, trial):
 def run_stability(config):
     """Run the seeded trials; the report is deterministic for a fixed config."""
     meshes = {name: _mesh(name) for name in config.meshes}
-    workers = config.threads or 1
-    indices = range(config.trials)
-    if workers == 1:
-        trials = [_run_trial(config, meshes, t) for t in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(lambda t: _run_trial(config, meshes, t), indices))
+    trials = [_run_trial(config, meshes, t) for t in range(config.trials)]
     violations = [t["trial"] for t in trials if not t["pass"]]
-    # threads is an execution knob, not an experiment parameter: the report
-    # must be byte-identical however the trials were scheduled
+    # threads names no experiment parameter, so the report leaves it out
     cfg = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(config).items()}
     del cfg["threads"]
     return {

@@ -131,7 +131,7 @@ def parse_off(data, path=None):
         unsupported = k[(k < 2) | (k > 4)]
         if len(unsupported):
             raise _Fault(f"face size {unsupported[0]} unsupported (2, 3, or 4)")
-        k, out = k.tolist(), []
+        k, out = k.tolist(), {}
         for size in (2, 3, 4):
             group = [p[1 : 1 + size] for p, s in zip(fields, k) if s == size]
             promise = f"face line promises {size} indices"
@@ -140,11 +140,11 @@ def parse_off(data, path=None):
                 raise _Fault("face index out of range")
             if np.any(np.diff(np.sort(idx), axis=1) == 0):
                 raise _Fault("face repeats a vertex")
-            out += idx.tolist()
+            out[size - 1] = idx
         return out
 
     simplices = _read_rows(rows[nv : nv + nf], path, faces)
-    return SimplicialComplex.build(enumerate(coords.tolist()), simplices)
+    return SimplicialComplex.build(np.arange(nv), coords, simplices)
 
 
 def load_off(path):
@@ -219,13 +219,23 @@ def complex_to_dict(X, field=None):
     return out
 
 
+def _json_ints(values, what, path):
+    """ParseError unless every value is a JSON integer (true and 1.0 are not)."""
+    for v in values:
+        if type(v) is not int:
+            raise ParseError(f"bad complex JSON: {what} {json.dumps(v)} is not an integer", path=path)
+
+
 def complex_from_dict(data, path=None):
     try:
-        verts = [(int(v["id"]), v["coords"]) for v in data["vertices"]]
+        ids = [v["id"] for v in data["vertices"]]
+        _json_ints(ids, "vertex id", path)
+        coords = [v["coords"] for v in data["vertices"]]
         by_dim = data.get("simplices", {})
         if not isinstance(by_dim, dict):
             raise ParseError("simplices must be an object keyed by dimension", path=path)
-        simplices = []
+        # keys naming one dimension ("1", "01") pool their rows
+        simplices = {}
         for key, rows in by_dim.items():
             d = int(key)
             for row in rows:
@@ -235,8 +245,9 @@ def complex_from_dict(data, path=None):
                         f"not a {d}-simplex",
                         path=path,
                     )
-                simplices.append(row)
-        X = SimplicialComplex.build(verts, simplices)
+            _json_ints([v for row in rows for v in row], f"simplices[{key!r}] entry", path)
+            simplices.setdefault(d, []).extend(rows)
+        X = SimplicialComplex.build(ids, coords, simplices)
         field = None
         if "field" in data:
             field = ScalarField(data["field"])

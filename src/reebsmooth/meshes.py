@@ -16,9 +16,7 @@ def circle_complex(n=48):
     k = np.arange(n)
     ang = 2.0 * np.pi * k / n
     coords = np.stack([np.sin(ang), -np.cos(ang)], axis=1)
-    verts = [(int(i), coords[i]) for i in range(n)]
-    edges = [(int(i), int((i + 1) % n)) for i in range(n)]
-    X = SimplicialComplex.build(verts, edges)
+    X = SimplicialComplex.build(k, coords, {1: np.stack([k, (k + 1) % n], axis=1)})
     return X, ScalarField(coords[:, 1].copy())
 
 
@@ -38,20 +36,12 @@ def torus_mesh(n_theta=16, n_phi=16, ring_radius=2.0, tube_radius=1.0):
     z = tube_radius * np.sin(phi)
     coords = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
 
-    def vid(i, j):
-        return (i % n_theta) * n_phi + (j % n_phi)
-
-    tris = []
-    for i in range(n_theta):
-        for j in range(n_phi):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i, j + 1)
-            d = vid(i + 1, j + 1)
-            tris.append((a, b, c))
-            tris.append((b, d, c))
-    verts = [(int(i), coords[i]) for i in range(n_theta * n_phi)]
-    X = SimplicialComplex.build(verts, tris)
+    # vertex (i, j) is i * n_phi + j; b, c, d are a's next in i, in j and in both
+    a = np.arange(n_theta * n_phi).reshape(n_theta, n_phi)
+    b, c = np.roll(a, -1, axis=0), np.roll(a, -1, axis=1)
+    d = np.roll(b, -1, axis=1)
+    tris = np.stack([np.stack([a, b, c], -1), np.stack([b, d, c], -1)]).reshape(-1, 3)
+    X = SimplicialComplex.build(a.ravel(), coords, {2: tris})
     return X, ScalarField(coords[:, 1].copy())
 
 
@@ -84,22 +74,13 @@ def three_loop_rig(n_outer=40, n_a=24, n_b=16):
     ring_a = wedge_ring(k_a, r_a, n_a)
     ring_b = wedge_ring(k_b, r_b, n_b)
 
-    verts = [(i, outer[i]) for i in range(n_outer)]
-    edges = [(i, (i + 1) % n_outer) for i in range(n_outer)]
-
-    def add_ring(pts, wedge_vertex, start_id):
-        ids = [wedge_vertex]
-        for j in range(1, len(pts)):
-            verts.append((start_id + j - 1, pts[j]))
-            ids.append(start_id + j - 1)
-        for j in range(len(ids)):
-            edges.append((ids[j], ids[(j + 1) % len(ids)]))
-        return start_id + len(pts) - 1
-
-    nxt = add_ring(ring_a, k_a, n_outer)
-    add_ring(ring_b, k_b, nxt)
-
-    X = SimplicialComplex.build(verts, edges)
+    # each small ring is its wedge vertex followed by its own new vertices
+    coords = np.concatenate([outer, ring_a[1:], ring_b[1:]])
+    ids_a = np.r_[k_a, n_outer : n_outer + n_a - 1]
+    ids_b = np.r_[k_b, n_outer + n_a - 1 : len(coords)]
+    loops = (np.arange(n_outer), ids_a, ids_b)
+    edges = np.concatenate([np.stack([ids, np.roll(ids, -1)], axis=1) for ids in loops])
+    X = SimplicialComplex.build(np.arange(len(coords)), coords, {1: edges})
     return X, ScalarField(X.coords[:, 1].copy())
 
 
@@ -107,15 +88,9 @@ def random_complex(rng, n_vertices=12, n_edges=18, n_triangles=6, coord_dim=2):
     """Random closed complex for property tests (connected not guaranteed)."""
     n = int(n_vertices)
     coords = rng.uniform(-1.0, 1.0, size=(n, coord_dim))
-    simplices = []
-    for _ in range(int(n_edges)):
-        a, b = rng.choice(n, size=2, replace=False)
-        simplices.append((int(a), int(b)))
-    for _ in range(int(n_triangles)):
-        tri = rng.choice(n, size=3, replace=False)
-        simplices.append(tuple(int(v) for v in tri))
-    verts = [(i, coords[i]) for i in range(n)]
-    return SimplicialComplex.build(verts, simplices)
+    edges = [rng.choice(n, size=2, replace=False) for _ in range(int(n_edges))]
+    tris = [rng.choice(n, size=3, replace=False) for _ in range(int(n_triangles))]
+    return SimplicialComplex.build(np.arange(n), coords, {1: edges, 2: tris})
 
 
 def random_field(rng, X, quantize=None):

@@ -291,15 +291,9 @@ def realize_as_complex(graph):
     Coordinates are the 1-d values (geometry only matters for measures, which
     graph smoothing does not use).  Returns (complex, field).
     """
-    q = graph.n_nodes
-    vals = list(graph.node_values)
-    verts = [(i, (vals[i],)) for i in range(q)]
-    simplices = []
-    for j, (u, v) in enumerate(graph.edges):
-        mid_val = (vals[u] + vals[v]) / 2.0
-        verts.append((q + j, (mid_val,)))
-        vals.append(mid_val)
-        simplices.append((int(u), q + j))
-        simplices.append((q + j, int(v)))
-    X = SimplicialComplex.build(verts, simplices)
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    mid = graph.n_nodes + np.arange(len(u))
+    vals = np.r_[graph.node_values, (graph.node_values[u] + graph.node_values[v]) / 2.0]
+    halves = np.concatenate([np.stack([u, mid], axis=1), np.stack([mid, v], axis=1)])
+    X = SimplicialComplex.build(np.arange(len(vals)), vals, {1: halves})
     return X, ScalarField(vals)

@@ -7,16 +7,14 @@ each test also prints a one-line summary with the measured numbers.
 import time
 
 import numpy as np
-import pytest
 
-from reebsmooth.complexes import ScalarField, VectorField, thicken_global
+from reebsmooth.complexes import ScalarField, VectorField
 from reebsmooth.diagrams import (
     DiagramPoint,
     PersistenceDiagram,
     bottleneck,
-    extended_persistence,
 )
-from reebsmooth.experiments import ExperimentConfig, fig4_sweep, load_fig4_fixture, run_stability
+from reebsmooth.experiments import ExperimentConfig, fig4_sweep, run_stability
 from reebsmooth.measures import (
     EmpiricalMeasure,
     KernelSpec,
@@ -31,7 +29,6 @@ from reebsmooth.meshes import circle_complex, random_field, three_loop_rig, toru
 from reebsmooth.rangecdf import check_monotone_invariance
 from reebsmooth.reeb import is_isomorphic, reeb_graph
 from reebsmooth.smoothing import (
-    SmoothingFactor,
     build_ambient_interleaving,
     build_local_interleaving,
     smooth_global,

@@ -41,7 +41,7 @@ def _closure_holds(X):
 def test_build_closes_under_faces():
     # giving only the top simplex must pull in every face
     X = SimplicialComplex.build(
-        [(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (0.0, 1.0))], [(0, 1, 2)]
+        [0, 1, 2], [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], {2: [(0, 1, 2)]}
     )
     assert X.simplices[1].shape[0] == 3
     assert _closure_holds(X)
@@ -56,7 +56,7 @@ def test_torus_mesh_is_closed_complex():
 
 def test_build_rejects_out_of_range_vertex():
     with pytest.raises(ValidationError):
-        SimplicialComplex.build([(0, (0.0,)), (1, (1.0,))], [(0, 3)])
+        SimplicialComplex.build([0, 1], [0.0, 1.0], {1: [(0, 3)]})
 
 
 SQUARE_IDS = np.arange(4)
@@ -134,33 +134,71 @@ def test_validate_rejections(ids, coords, simplices, message):
         SimplicialComplex(ids, coords, simplices)
 
 
-SQUARE_VERTICES = [(10 * i, tuple(c)) for i, c in enumerate(SQUARE_COORDS)]
+# ids 0, 10, 20, 30 given out of order, with their coords in the same order
+SQUARE_BUILD_IDS = [30, 0, 20, 10]
+SQUARE_BUILD_COORDS = SQUARE_COORDS[[3, 0, 2, 1]]
+FIFTH = np.array([[5.0, 5.0]])
 
 
 @pytest.mark.parametrize(
-    "vertices, simplices, message",
+    "ids, coords, simplices, message",
     [
-        ([], [], "at least one vertex"),
-        (SQUARE_VERTICES + [(0, (5.0, 5.0))], [], "duplicate vertex ids"),
-        (SQUARE_VERTICES + [(2**70, (5.0, 5.0))], [], "fit in 64 bits"),
-        (SQUARE_VERTICES, [(0, 10), (10, 7)], "unknown vertex id 7"),
-        (SQUARE_VERTICES, [(30,), (2**70, 0)], "unknown vertex id"),
-        (SQUARE_VERTICES, [(0, 10), (10, 20, 10)], r"repeated vertex\): \(10, 20, 10\)"),
-        (SQUARE_VERTICES + [(40, (2.0, 2.0))], [(0, 10, 20, 30, 40)], "dimension 4 exceeds"),
+        ([], np.empty((0, 2)), {}, "at least one vertex"),
+        (SQUARE_BUILD_IDS + [0], np.r_[SQUARE_BUILD_COORDS, FIFTH], {}, "duplicate vertex ids"),
+        (SQUARE_BUILD_IDS + [2**70], np.r_[SQUARE_BUILD_COORDS, FIFTH], {}, "fit in 64 bits"),
+        (SQUARE_BUILD_IDS, SQUARE_BUILD_COORDS[:3], {}, "coords misaligned with vertex table"),
+        (SQUARE_BUILD_IDS, SQUARE_BUILD_COORDS, {1: [(0, 10), (10, 7)]}, "unknown vertex id 7"),
+        (
+            SQUARE_BUILD_IDS,
+            SQUARE_BUILD_COORDS,
+            {0: [(30,)], 1: [(2**70, 0)]},
+            "unknown vertex id",
+        ),
+        (SQUARE_BUILD_IDS, SQUARE_BUILD_COORDS, {0: [(7,)]}, "unknown vertex id 7"),
+        (
+            SQUARE_BUILD_IDS,
+            SQUARE_BUILD_COORDS,
+            {1: [(0, 10)], 2: [(10, 20, 10)]},
+            r"repeated vertex\): \(10, 20, 10\)",
+        ),
+        (
+            SQUARE_BUILD_IDS + [40],
+            np.r_[SQUARE_BUILD_COORDS, FIFTH],
+            {4: [(0, 10, 20, 30, 40)]},
+            "dimension 4 exceeds",
+        ),
+        (
+            SQUARE_BUILD_IDS,
+            SQUARE_BUILD_COORDS,
+            {1: [(0, 10, 20)]},
+            "dimension-1 rows must have 2 vertices",
+        ),
+        (
+            SQUARE_BUILD_IDS,
+            SQUARE_BUILD_COORDS,
+            {2: [(0, 10, 20), (10, 20)]},
+            "dimension-2 rows must have 3 vertices",
+        ),
+        (SQUARE_BUILD_IDS, SQUARE_BUILD_COORDS, {1: [0, 10]}, "dimension-1 rows must have 2"),
     ],
     ids=[
         "no vertices",
         "duplicate vertex id",
         "vertex id beyond int64",
+        "coords misaligned",
         "unknown vertex id",
         "simplex id beyond int64",
+        "unknown id in a dimension-0 row",
         "repeated vertex",
         "dimension above 3",
+        "row wider than its dimension",
+        "ragged rows",
+        "flat row",
     ],
 )
-def test_build_rejections(vertices, simplices, message):
+def test_build_rejections(ids, coords, simplices, message):
     with pytest.raises(ValidationError, match=message):
-        SimplicialComplex.build(vertices, simplices)
+        SimplicialComplex.build(ids, coords, simplices)
 
 
 def _brute_force_closure(simplices):
@@ -179,7 +217,7 @@ def test_build_closure_and_face_table_match_brute_force(data):
     n = data.draw(st.integers(1, 9))
     ids = data.draw(st.lists(st.integers(-50, 10**6), min_size=n, max_size=n, unique=True))
     order = data.draw(st.permutations(range(n)))
-    vertices = [(ids[i], (float(i), 0.5 * i)) for i in order]
+    coords = [(float(i), 0.5 * i) for i in order]
     given_rows = data.draw(
         st.lists(
             st.lists(st.integers(0, n - 1), min_size=1, max_size=min(4, n), unique=True),
@@ -189,7 +227,10 @@ def test_build_closure_and_face_table_match_brute_force(data):
     # redundant faces: repeat some simplices and some of their faces verbatim
     extra = [row[: len(row) - 1] for row in given_rows if len(row) > 1 and row[0] % 2]
     raw = [tuple(ids[i] for i in row) for row in given_rows + given_rows[:2] + extra]
-    X = SimplicialComplex.build(vertices, raw)
+    by_dim = {}
+    for row in raw:
+        by_dim.setdefault(len(row) - 1, []).append(row)
+    X = SimplicialComplex.build([ids[i] for i in order], coords, by_dim)
     assert X.vertex_ids.tolist() == sorted(ids)
     assert X.coords[:, 0].tolist() == [float(ids.index(v)) for v in sorted(ids)]
 
@@ -231,7 +272,7 @@ def test_build_closure_and_face_table_match_brute_force(data):
 def test_single_edge_global_thickening_hand_enumeration():
     # one edge, eps=1: two 3-vertex columns -> 6 vertices, the prism square
     # splits into 4 staircase triangles, field spans [min f - 1, max f + 1]
-    X = SimplicialComplex.build([(0, (0.0,)), (1, (1.0,))], [(0, 1)])
+    X = SimplicialComplex.build([0, 1], [0.0, 1.0], {1: [(0, 1)]})
     f = ScalarField(np.array([0.0, 3.0]))
     thick = thicken_global(X, f, 1.0)
     T = thick.complex
@@ -263,7 +304,7 @@ def _boundary_faces(rows):
 def test_triangle_thickening_boundary_is_a_sphere():
     # solid prism over a triangle: boundary surface must have chi = 2
     X = SimplicialComplex.build(
-        [(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (0.0, 1.0))], [(0, 1, 2)]
+        [0, 1, 2], [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], {2: [(0, 1, 2)]}
     )
     f = ScalarField(np.array([0.0, 0.25, 0.5]))
     thick = thicken_global(X, f, 1.0)
@@ -305,7 +346,7 @@ def test_constant_r_equals_global_thickening():
 
 
 def test_vertex_only_complex_thickens_to_paths():
-    X = SimplicialComplex.build([(0, (0.0,))], [])
+    X = SimplicialComplex.build([0], [0.0], {})
     f = ScalarField(np.array([2.0]))
     thick = thicken_global(X, f, 0.25)
     assert thick.complex.n_vertices == 3
@@ -314,7 +355,7 @@ def test_vertex_only_complex_thickens_to_paths():
 
 
 def test_trapezoid_region_extremes_with_uneven_radii():
-    X = SimplicialComplex.build([(0, (0.0,)), (1, (1.0,))], [(0, 1)])
+    X = SimplicialComplex.build([0, 1], [0.0, 1.0], {1: [(0, 1)]})
     f = ScalarField(np.array([0.0, 1.0]))
     r = ScalarField(np.array([1.0, 2.0]))
     thick = thicken_local(X, f, r)
@@ -324,7 +365,7 @@ def test_trapezoid_region_extremes_with_uneven_radii():
 
 def test_thicken_rejects_dim_3_input():
     X = SimplicialComplex.build(
-        [(i, (float(i), 0.0, 0.0)) for i in range(4)], [(0, 1, 2, 3)]
+        np.arange(4), [(float(i), 0.0, 0.0) for i in range(4)], {3: [(0, 1, 2, 3)]}
     )
     f = ScalarField(np.zeros(4))
     with pytest.raises(GuardViolation):

@@ -65,8 +65,7 @@ def test_three_loop_rig_extended_loops():
 def test_merge_split_graph_ordinary_pairs():
     # two minima joined at a saddle: one ordinary dim-0 point (younger min)
     X = SimplicialComplex.build(
-        [(0, (0.0,)), (1, (1.0,)), (2, (2.0,)), (3, (3.0,))],
-        [(0, 2), (1, 2), (2, 3)],
+        np.arange(4), [0.0, 1.0, 2.0, 3.0], {1: [(0, 2), (1, 2), (2, 3)]}
     )
     f = ScalarField(np.array([0.0, 0.5, 1.0, 2.0]))
     dgm = extended_persistence(reeb_graph(X, f))

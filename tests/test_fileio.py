@@ -1,6 +1,7 @@
 """Parsers, serializers, and their error reporting."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -272,8 +273,9 @@ def test_complex_json_round_trip(tmp_path):
 
 def test_complex_json_round_trip_with_tetrahedra():
     X = SimplicialComplex.build(
-        [(i, [float(i), float(i % 2), float(i % 3)]) for i in range(6)],
-        [(0, 1, 2, 3), (1, 2, 3, 4), (4, 5)],
+        np.arange(6),
+        [[float(i), float(i % 2), float(i % 3)] for i in range(6)],
+        {3: [(0, 1, 2, 3), (1, 2, 3, 4)], 1: [(4, 5)]},
     )
     d = json.loads(json.dumps(complex_to_dict(X)))
     assert sorted(d["simplices"]) == ["1", "2", "3"]
@@ -307,6 +309,39 @@ def test_complex_json_rejects_rows_not_of_their_dimension(tmp_path, capsys, simp
     assert main(["build", "--in", str(mesh), "--out", str(tmp_path / "g.json")]) == 2
     assert "bad.json" in capsys.readouterr().err
     assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize(
+    "vertex_id, edge, message",
+    [
+        (1.7, [0, 1.2], "vertex id 1.7 is not an integer"),
+        (1, [0, 1.2], "simplices['1'] entry 1.2 is not an integer"),
+        (True, [0, 1], "vertex id true is not an integer"),
+        (1, [0, True], "simplices['1'] entry true is not an integer"),
+        (1.0, [0, 1], "vertex id 1.0 is not an integer"),
+        ("1", [0, 1], 'vertex id "1" is not an integer'),
+    ],
+    ids=["float id", "float entry", "bool id", "bool entry", "integral float id", "string id"],
+)
+def test_complex_json_ids_and_entries_must_be_integers(tmp_path, capsys, vertex_id, edge, message):
+    # int() and the int64 cast would truncate 1.7 to 1 and read true as 1
+    vertices = [{"id": 0, "coords": [0.0]}, {"id": vertex_id, "coords": [1.0]}]
+    data = {"vertices": vertices, "simplices": {"1": [edge]}}
+    with pytest.raises(ParseError, match=re.escape(message)):
+        complex_from_dict(data)
+    mesh = tmp_path / "bad.json"
+    mesh.write_text(json.dumps(data))
+    assert main(["build", "--in", str(mesh), "--out", str(tmp_path / "g.json")]) == 2
+    err = capsys.readouterr().err
+    assert "bad.json" in err and message in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_complex_json_keys_naming_one_dimension_pool_their_rows():
+    vertices = [{"id": i, "coords": [float(i)]} for i in range(4)]
+    data = {"vertices": vertices, "simplices": {"1": [[0, 1]], "01": [[3, 2]]}}
+    X, _ = complex_from_dict(data)
+    assert X.simplices[1].tolist() == [[0, 1], [2, 3]]
 
 
 def test_field_dict_round_trip():

@@ -222,7 +222,7 @@ def test_wasserstein2_support_guard():
         wasserstein2(mu, mu)
 
 
-def test_empirical_cdf_uniform_01():
+def test_cdf_of_measure_uniform_01():
     mu = uniform_measure([[0.0], [1.0]])
     F = cdf_of_measure(mu)
     assert F(0.0) == pytest.approx(0.5, abs=1e-12)
@@ -232,12 +232,12 @@ def test_empirical_cdf_uniform_01():
     assert np.allclose(F(xs), 0.5 + 0.5 * xs, atol=1e-12)
 
 
-def test_empirical_cdf_uniform_012():
+def test_cdf_of_measure_uniform_012():
     F = cdf_of_measure(uniform_measure([[0.0], [1.0], [2.0]]))
     assert F(1.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
-def test_empirical_cdf_merges_duplicates():
+def test_cdf_of_measure_merges_duplicates():
     mu = EmpiricalMeasure.from_raw(
         np.array([[0.0], [0.0], [1.0]]), np.array([1.0, 1.0, 2.0])
     )

@@ -87,7 +87,7 @@ def test_affine_cdf_transforms_node_values_affinely():
 def _split_at_knots(X, f, knots):
     """The 1-complex with every edge split where f crosses one of `knots`."""
     vals = f.values
-    verts = [(int(i), X.coords[idx]) for idx, i in enumerate(X.vertex_ids)]
+    ids, coords = list(X.vertex_ids), list(X.coords)
     new_vals = list(vals)
     next_id = int(X.vertex_ids.max()) + 1
     edges = []
@@ -97,13 +97,14 @@ def _split_at_knots(X, f, knots):
         chain = [int(X.vertex_ids[u])]
         for k in cuts:
             s = (k - a) / (b - a)
-            verts.append((next_id, X.coords[u] + s * (X.coords[v] - X.coords[u])))
+            ids.append(next_id)
+            coords.append(X.coords[u] + s * (X.coords[v] - X.coords[u]))
             new_vals.append(k)
             chain.append(next_id)
             next_id += 1
         chain.append(int(X.vertex_ids[v]))
         edges.extend(zip(chain[:-1], chain[1:]))
-    return SimplicialComplex.build(verts, edges), ScalarField(np.array(new_vals))
+    return SimplicialComplex.build(ids, coords, {1: edges}), ScalarField(np.array(new_vals))
 
 
 def test_splitting_edges_at_cdf_knots_never_changes_the_graph():

@@ -72,9 +72,7 @@ def test_constant_field_single_node():
 def test_plateau_collapses_and_regular_node_splices():
     # path a-b-c-d with a flat middle: the plateau {b, c} merges into one
     # regular node, which then splices out of the canonical graph
-    X = SimplicialComplex.build(
-        [(i, (float(i),)) for i in range(4)], [(0, 1), (1, 2), (2, 3)]
-    )
+    X = SimplicialComplex.build(np.arange(4), np.arange(4.0), {1: [(0, 1), (1, 2), (2, 3)]})
     f = ScalarField(np.array([0.0, 1.0, 1.0, 2.0]))
     g = reeb_graph(X, f)
     assert g.node_values.tolist() == [0.0, 2.0]
@@ -84,8 +82,7 @@ def test_plateau_collapses_and_regular_node_splices():
 def test_plateau_branch_point_is_one_node():
     # Y-shape with a two-vertex plateau at the branch value: must be ONE node
     X = SimplicialComplex.build(
-        [(i, (float(i),)) for i in range(5)],
-        [(0, 1), (1, 2), (2, 3), (2, 4)],
+        np.arange(5), np.arange(5.0), {1: [(0, 1), (1, 2), (2, 3), (2, 4)]}
     )
     f = ScalarField(np.array([0.0, 1.0, 1.0, 2.0, 2.0]))
     g = reeb_graph(X, f)
@@ -95,9 +92,7 @@ def test_plateau_branch_point_is_one_node():
 
 
 def test_disconnected_input_gives_disconnected_graph():
-    X = SimplicialComplex.build(
-        [(0, (0.0,)), (1, (1.0,)), (2, (5.0,)), (3, (6.0,))], [(0, 1), (2, 3)]
-    )
+    X = SimplicialComplex.build(np.arange(4), [0.0, 1.0, 5.0, 6.0], {1: [(0, 1), (2, 3)]})
     f = ScalarField(np.array([0.0, 1.0, 5.0, 6.0]))
     g = reeb_graph(X, f)
     assert g.n_nodes == 4
@@ -233,9 +228,8 @@ def test_quotient_functoriality_mirror_map():
     n = 24
     X, f = circle_complex(n)
     half = n // 2
-    path_verts = [(k, (float(k),)) for k in range(half + 1)]
-    path_edges = [(k, k + 1) for k in range(half)]
-    Y = SimplicialComplex.build(path_verts, path_edges)
+    path = np.arange(half + 1)
+    Y = SimplicialComplex.build(path, path.astype(float), {1: np.c_[path[:-1], path[1:]]})
     phi = np.array([min(k, n - k) for k in range(n)])
     g_vals = np.full(half + 1, np.nan)
     g_vals[phi] = f.values
@@ -392,10 +386,10 @@ def _assert_every_block_size_matches(X, args, n_levels):
 def _random_solid(rng):
     """A random closed complex with tetrahedra, so that links have edge facets."""
     n = 8
-    simplices = [tuple(rng.choice(n, size=4, replace=False).tolist()) for _ in range(5)]
-    simplices += [tuple(rng.choice(n, size=3, replace=False).tolist()) for _ in range(3)]
+    tets = [rng.choice(n, size=4, replace=False) for _ in range(5)]
+    tris = [rng.choice(n, size=3, replace=False) for _ in range(3)]
     coords = rng.uniform(-1.0, 1.0, size=(n, 3))
-    return SimplicialComplex.build([(i, coords[i]) for i in range(n)], simplices)
+    return SimplicialComplex.build(np.arange(n), coords, {3: tets, 2: tris})
 
 
 # Pinched complexes: the link of the pinch point is disconnected, so the one
@@ -409,7 +403,8 @@ PINCHED = {
 def _pinched(name):
     rows = PINCHED[name]
     n = max(max(r) for r in rows) + 1
-    return SimplicialComplex.build([(i, [float(i), float(i % 2), 0.0]) for i in range(n)], rows)
+    coords = [[float(i), float(i % 2), 0.0] for i in range(n)]
+    return SimplicialComplex.build(np.arange(n), coords, {len(rows[0]) - 1: rows})
 
 
 @settings(max_examples=120, deadline=None)
@@ -667,7 +662,7 @@ def test_a_plan_needs_windows_that_nest_every_pair():
         ((0, 1, 2), [0, 0, 0, 0, 0, 0, 0], [0, 0, 2, 0, 2, 2, 4]),
     ]
     for row, first, last in cases:
-        X = SimplicialComplex.build([(i, (float(i),)) for i in row], [row])
+        X = SimplicialComplex.build(row, np.array(row, dtype=float), {len(row) - 1: [row]})
         _, _, pair_a, pair_b = X.face_table
         with pytest.raises(ValueError, match="hulls of their vertices' windows"):
             sweep_quotient(

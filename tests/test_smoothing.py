@@ -108,7 +108,7 @@ def test_local_interleaving_equal_radii_is_identity():
 def test_local_interleaving_one_two_hand_values():
     # r1 = 1, r2 = 2 on a single edge: forward residuals all 0 (|t| <= 1 <= 2),
     # backward residuals t - clamp(t, 1) with max exactly 1 at t = +-2
-    X = SimplicialComplex.build([(0, (0.0,)), (1, (1.0,))], [(0, 1)])
+    X = SimplicialComplex.build([0, 1], [0.0, 1.0], {1: [(0, 1)]})
     f = ScalarField(np.array([0.0, 0.5]))
     r1 = ScalarField(np.ones(2))
     r2 = ScalarField(np.full(2, 2.0))
@@ -371,7 +371,7 @@ def test_windowed_smoothing_on_the_meshes():
 
 def test_smoothing_keeps_the_thickening_guards():
     X3 = SimplicialComplex.build(
-        [(i, (float(i), 0.0, 0.0)) for i in range(4)], [(0, 1, 2, 3)]
+        np.arange(4), [(float(i), 0.0, 0.0) for i in range(4)], {3: [(0, 1, 2, 3)]}
     )
     f3 = ScalarField(np.zeros(4))
     with pytest.raises(GuardViolation):
