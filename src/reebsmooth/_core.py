@@ -264,8 +264,17 @@ def vertex_hulls(blocks, lo, hi):
     blocks are a face table's per-dimension vertex rows; lo and hi are read
     at vertex indices only.
     """
-    vmin = [lo[b].min(axis=1) for b in blocks]
-    vmax = [hi[b].max(axis=1) for b in blocks]
+    # rows are 1 to 4 wide, and numpy reduces such narrow rows far slower
+    # than it takes elementwise minima and maxima of their columns
+    vmin, vmax = [], []
+    for b in blocks:
+        first, *rest = b.T
+        low, high = lo[first], hi[first]
+        for col in rest:
+            low = np.minimum(low, lo[col])
+            high = np.maximum(high, hi[col])
+        vmin.append(low)
+        vmax.append(high)
     return np.concatenate(vmin), np.concatenate(vmax)
 
 

@@ -25,6 +25,7 @@ written, 3 guard or validation error, 4 a stability report with violations
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -206,7 +207,9 @@ def cmd_fig4(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="reebsmooth",
         description="Reeb graphs of PL fields with measure-driven smoothing",

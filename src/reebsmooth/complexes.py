@@ -98,6 +98,14 @@ class VectorField:
         return len(self.values)
 
 
+def _not_integers(values):
+    """Whether values, which convert to int64, are of a float, bool or other
+    non-integer dtype.  An empty list, float64 to numpy, holds no such value.
+    """
+    values = np.asarray(values)
+    return values.size > 0 and values.dtype.kind not in "iu"
+
+
 def _row_keys(rows):
     """One opaque key per row that compares like the row in lex order.
 
@@ -177,7 +185,9 @@ class SimplicialComplex:
     def build(cls, vertex_ids, coords, simplices):
         """Build a closed complex from raw arrays; the one raw-input route.
 
-        vertex_ids: (n,) integer array of distinct ids, in any order.
+        vertex_ids: (n,) integer array of distinct ids, in any order.  Ids
+        and rows of a float, bool or other non-integer dtype are rejected, not
+        truncated.
         coords: (n, k) or (n,) array, row-aligned with vertex_ids.
         simplices: dict dim -> (m, dim+1) rows of vertex *ids*, in any row
         and column order.  Dimension-0 rows are checked for unknown ids and
@@ -188,6 +198,8 @@ class SimplicialComplex:
             ids = np.asarray(vertex_ids, dtype=np.int64)
         except OverflowError:
             raise ValidationError("vertex ids must fit in 64 bits") from None
+        if _not_integers(vertex_ids):
+            raise ValidationError("vertex ids must be integers")
         if ids.size == 0:
             raise ValidationError("complex needs at least one vertex")
         order = np.argsort(ids)
@@ -205,6 +217,8 @@ class SimplicialComplex:
                 raise ValidationError("simplex references an unknown vertex id") from None
             except ValueError:
                 raise ValidationError(width) from None
+            if _not_integers(given):
+                raise ValidationError(f"dimension-{d} rows must hold integer vertex ids")
             if raw.size == 0:
                 continue
             if raw.ndim != 2 or raw.shape[1] != d + 1:

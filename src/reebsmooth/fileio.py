@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
 from .complexes import ScalarField, SimplicialComplex, as_scalar_field
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .measures import EmpiricalMeasure
 
 
@@ -47,8 +48,10 @@ def write_text(text, path):
 
 def _content_lines(text):
     """(line_number, payload) pairs with comments and blanks dropped."""
-    lines = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(text.splitlines(), 1))
-    return [(n, line) for n, line in lines if line]
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    return [(n, line) for n, line in enumerate(map(str.strip, lines), 1) if line]
 
 
 class _Fault(Exception):
@@ -58,13 +61,14 @@ class _Fault(Exception):
 def _numbers(fields, dtype, width, ragged, bad):
     """Rows of `width` fields each as a (rows, width) array of dtype.
 
+    The fields are converted in one pass over the flat sequence of them.
     numpy parses a field as float() or int() would; an integer beyond int64
     is `bad` too.
     """
     if set(map(len, fields)) - {width}:
         raise _Fault(ragged)
     try:
-        return np.array(fields, dtype=dtype).reshape(len(fields), width)
+        return np.array(list(chain.from_iterable(fields)), dtype=dtype).reshape(len(fields), width)
     except (ValueError, OverflowError):
         raise _Fault(bad) from None
 
@@ -126,22 +130,35 @@ def parse_off(data, path=None):
     coords = _read_rows(rows[:nv], path, _numbers, np.float64, width, *vertex_faults)
 
     def faces(fields):
-        heads = [p[:1] for p in fields]
-        k = _numbers(heads, np.int64, 1, None, "face line needs a leading count")[:, 0]
+        if not fields:
+            return {}
+        # rows of exactly "k i_1 ... i_k" for one k are read in one conversion
+        width = len(fields[0])
+        try:
+            table = _numbers(fields, np.int64, width, None, None)
+        except _Fault:
+            table = None
+        if table is not None and np.all(table[:, 0] == width - 1):
+            k, groups = table[:, 0], {width - 1: table[:, 1:]}
+        else:
+            heads = [p[:1] for p in fields]
+            k = _numbers(heads, np.int64, 1, None, "face line needs a leading count")[:, 0]
+            groups = None
         unsupported = k[(k < 2) | (k > 4)]
         if len(unsupported):
             raise _Fault(f"face size {unsupported[0]} unsupported (2, 3, or 4)")
-        k, out = k.tolist(), {}
-        for size in (2, 3, 4):
-            group = [p[1 : 1 + size] for p, s in zip(fields, k) if s == size]
-            promise = f"face line promises {size} indices"
-            idx = _numbers(group, np.int64, size, promise, "bad face index")
+        if groups is None:
+            sizes, k, groups = np.unique(k).tolist(), k.tolist(), {}
+            for size in sizes:
+                group = [p[1 : 1 + size] for p, s in zip(fields, k) if s == size]
+                promise = f"face line promises {size} indices"
+                groups[size] = _numbers(group, np.int64, size, promise, "bad face index")
+        for idx in groups.values():
             if np.any((idx < 0) | (idx >= nv)):
                 raise _Fault("face index out of range")
             if np.any(np.diff(np.sort(idx), axis=1) == 0):
                 raise _Fault("face repeats a vertex")
-            out[size - 1] = idx
-        return out
+        return {size - 1: idx for size, idx in groups.items()}
 
     simplices = _read_rows(rows[nv : nv + nf], path, faces)
     return SimplicialComplex.build(np.arange(nv), coords, simplices)
@@ -247,7 +264,10 @@ def complex_from_dict(data, path=None):
                     )
             _json_ints([v for row in rows for v in row], f"simplices[{key!r}] entry", path)
             simplices.setdefault(d, []).extend(rows)
-        X = SimplicialComplex.build(ids, coords, simplices)
+        try:
+            X = SimplicialComplex.build(ids, coords, simplices)
+        except ValidationError as exc:
+            raise ParseError(f"bad complex JSON: {exc}", path=path) from None
         field = None
         if "field" in data:
             field = ScalarField(data["field"])

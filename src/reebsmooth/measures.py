@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .complexes import ScalarField
 from .errors import GuardViolation, ValidationError
@@ -190,6 +189,9 @@ def wasserstein2(mu, nu):
         [np.kron(np.eye(n), np.ones((1, k))), np.kron(np.ones((1, n)), np.eye(k))[:-1]]
     )
     rhs = np.concatenate([mu.weights, nu.weights[:-1]])
+    # imported at its only use: scipy.optimize adds about 0.14 s to importing this module
+    from scipy.optimize import linprog
+
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=rhs, bounds=(0, None), method="highs")
     if not res.success:
         raise GuardViolation(f"transport LP failed: {res.message}")

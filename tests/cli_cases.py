@@ -45,6 +45,12 @@ CASES = [
     ("fig4", ["fig4", "--out", "fig4.json", "--dot", "fig4"]),
     ("error-missing-in", ["build", "--in", IN + "missing.off"]),
     ("error-bad-off", ["build", "--in", IN + "bad.off"]),
+    ("build-mixed-off", ["build", "--in", IN + "mixed.off", "--field", "z + 0.25*x*y", "--dot", "g.dot"]),
+    ("build-colors-off", ["build", "--in", IN + "colors.off", "--out", "g.json", "--dot", "g.dot"]),
+    ("build-levels-dot", BUILD + ["--field", "csv:" + IN + "levels.csv", "--dot", "g.dot"]),
+    ("build-json-solid", ["build", "--in", IN + "solid.json", "--dot", "g.dot"]),
+    ("error-json-unknown-id", ["build", "--in", IN + "unknown-id.json"]),
+    ("error-json-duplicate-id", ["build", "--in", IN + "duplicate-id.json"]),
 ]
 
 
@@ -60,8 +66,22 @@ def _torus(n, ring=2.0, tube=1.0):
     return coords.reshape(-1, 3), tris
 
 
-def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
+def _solid(n):
+    """An n x n x n grid of cubes, each cut into 6 tetrahedra along its main
+    diagonal: coords ((n+1)**3, 3) and tetrahedra (6 * n**3, 4)."""
+    m = n + 1
+    grid = np.stack(np.meshgrid(*[np.arange(m)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    corner = grid[(grid < n).all(axis=1)] @ np.array([m * m, m, 1])
+    steps = np.array([m * m, m, 1])
+    tets = []
+    for perm in ([0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]):
+        path = np.cumsum(steps[perm])
+        tets.append(np.stack([corner, *(corner + p for p in path)], axis=1))
+    return grid.astype(np.float64), np.concatenate(tets)
+
+
+def _write(path, text, newline=None):
+    with open(path, "w", encoding="utf-8", newline=newline) as fh:
         fh.write(text)
 
 
@@ -92,6 +112,42 @@ def write_inputs(folder):
     weights = rng.dirichlet(np.ones(12))
     _write(os.path.join(folder, "points.csv"), _lines(np.c_[points, weights]))
     _write(os.path.join(folder, "weights.csv"), _lines(np.c_[rng.uniform(-3.0, 3.0, 12), weights]))
+
+    # comments, blank lines, CRLF line ends, color fields and faces of 2, 3
+    # and 4 vertices: tetrahedra of a jittered 3 x 3 x 3 grid, some of their
+    # triangles again, and a path of edges to two more vertices
+    coords, tets = _solid(3)
+    coords = np.r_[coords + rng.uniform(-0.2, 0.2, coords.shape), [[4.0, 1.5, 1.5], [5.0, 1.0, 2.0]]]
+    n = len(coords)
+    faces = [f"4 {a} {b} {c} {d}" + (" 0.5 0.25 1 1" if i % 3 == 0 else "") for i, (a, b, c, d) in enumerate(tets)]
+    faces += [f"3 {a} {c} {b}  # a face again" for a, b, c, _ in tets[::7]]
+    faces += [f"2 {n - 3} {n - 2} 255 0 0", f"2 {n - 2} {n - 1}"]
+    order = rng.permutation(len(faces))
+    lines = ["# mixed faces", "OFF", "", f"{n} {len(faces)} 0  # nv nf ne"]
+    lines += [" ".join(f"{c:.17g}" for c in row) + (" # first" if i == 0 else "") for i, row in enumerate(coords)]
+    lines += [faces[i] if i % 5 else "\t" + faces[i] + "\n" for i in order]
+    _write(os.path.join(folder, "mixed.off"), "\r\n".join(lines) + "\r\n", newline="")
+
+    # one face size, every face row with a color
+    coords, tris = _torus(12)
+    off = [f"OFF\n{len(coords)} {len(tris)} 0\n"]
+    off += [" ".join(f"{c:.17g}" for c in row) + "\n" for row in coords]
+    off += [f"3 {a} {b} {c} 200 100 {a % 256}\n" for a, b, c in tris]
+    _write(os.path.join(folder, "colors.off"), "".join(off))
+
+    # a complex JSON of tetrahedra with an embedded field
+    coords, tets = _solid(2)
+    solid = {
+        "vertices": [{"id": 3 * i + 1, "coords": row.tolist()} for i, row in enumerate(coords)],
+        "simplices": {"3": (3 * tets + 1).tolist()},
+        "field": rng.uniform(-1.0, 1.0, len(coords)).round(3).tolist(),
+    }
+    _write(os.path.join(folder, "solid.json"), json.dumps(solid))
+    pair = [{"id": 0, "coords": [0.0]}, {"id": 1, "coords": [1.0]}]
+    unknown = {"vertices": pair, "simplices": {"1": [[0, 1], [1, 7]]}}
+    _write(os.path.join(folder, "unknown-id.json"), json.dumps(unknown))
+    twice = {"vertices": pair + [{"id": 0, "coords": [2.0]}], "simplices": {"1": [[0, 1]]}}
+    _write(os.path.join(folder, "duplicate-id.json"), json.dumps(twice))
 
 
 def run(outdir):

@@ -5,7 +5,9 @@ Each is deliberately naive and guarded to small inputs:
 - `slab_oracle`: the Reeb graph by direct slab decomposition, with a plain
   union-find over shared codim-1 faces (checks `reeb.reeb_graph`);
 - `bottleneck_oracle`: the bottleneck distance by brute force over all
-  partial matchings (checks `diagrams.bottleneck`).
+  partial matchings (checks `diagrams.bottleneck`);
+- `off_oracle`: an OFF text read line by line with float() and int(), closed
+  under faces with itertools (checks `fileio.parse_off`).
 """
 
 import itertools
@@ -169,3 +171,58 @@ def bottleneck_oracle(d1, d2):
         default=0.0,
     )
     return float(best)
+
+
+class OffFault(Exception):
+    """A faulty content line of an OFF text; `line` is its 1-based number."""
+
+    def __init__(self, line):
+        super().__init__(f"line {line}")
+        self.line = line
+
+
+def off_oracle(text):
+    """An OFF text as (coords, simplices), read one line at a time.
+
+    coords is a list of float tuples; simplices maps each dimension >= 1 to
+    the sorted list of vertex tuples of the complex closed under faces.  The
+    text's header and counts must be well formed; the first vertex or face
+    line that is faulty raises OffFault with its line number.  A vertex line
+    is faulty unless it has as many fields as the first vertex line, each a
+    float(); a face line unless it reads "k i_1 ... i_k [anything]" with k in
+    2..4 and k distinct int() indices below the vertex count.
+    """
+    lines = []
+    for number, raw in enumerate(text.splitlines(), 1):
+        payload = raw.split("#", 1)[0].split()
+        if payload:
+            lines.append((number, payload))
+    (_, header), (_, counts), *rows = lines
+    assert header == ["OFF"] and len(counts) == 3, "the oracle reads well-formed headers only"
+    nv, nf = int(counts[0]), int(counts[1])
+    coords, faces = [], []
+    width = len(rows[0][1])
+    for number, fields in rows[:nv]:
+        try:
+            if len(fields) != width:
+                raise ValueError
+            coords.append(tuple(float(x) for x in fields))
+        except ValueError:
+            raise OffFault(number) from None
+    for number, fields in rows[nv : nv + nf]:
+        try:
+            k = int(fields[0])
+            if not 2 <= k <= 4 or len(fields) < k + 1:
+                raise ValueError
+            face = tuple(sorted(int(x) for x in fields[1 : k + 1]))
+            if face[0] < 0 or face[-1] >= nv or len(set(face)) < k:
+                raise ValueError
+        except ValueError:
+            raise OffFault(number) from None
+        faces.append(face)
+    simplices = {}
+    for face in faces:
+        for size in range(2, len(face) + 1):
+            for sub in itertools.combinations(face, size):
+                simplices.setdefault(size - 1, set()).add(sub)
+    return coords, {d: sorted(rows) for d, rows in simplices.items()}

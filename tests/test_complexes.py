@@ -201,6 +201,34 @@ def test_build_rejections(ids, coords, simplices, message):
         SimplicialComplex.build(ids, coords, simplices)
 
 
+@pytest.mark.parametrize(
+    "ids, simplices, message",
+    [
+        (np.array([0.5, 1.5]), {1: np.array([[0, 1]])}, "vertex ids must be integers"),
+        ([0.0, 1.0], {1: [[0, 1]]}, "vertex ids must be integers"),
+        (np.array([False, True]), {}, "vertex ids must be integers"),
+        ([0, 1], {1: np.array([[0.5, 1.5]])}, "dimension-1 rows must hold integer vertex ids"),
+        ([0, 1], {1: [[0.0, 1.0]]}, "dimension-1 rows must hold integer vertex ids"),
+        ([0, 1], {1: np.array([[False, True]])}, "dimension-1 rows must hold integer vertex ids"),
+        ([0, 1], {0: [[0.0]]}, "dimension-0 rows must hold integer vertex ids"),
+    ],
+    ids=["float id array", "float id list", "bool ids", "float row array", "float row list",
+         "bool rows", "float dimension-0 row"],
+)
+def test_build_rejects_ids_that_are_not_integers(ids, simplices, message):
+    # the int64 cast would truncate 0.5 and 1.5 to vertices 0 and 1
+    with pytest.raises(ValidationError, match=message):
+        SimplicialComplex.build(ids, [0.0, 1.0], simplices)
+
+
+def test_build_accepts_empty_lists_and_unsigned_ids():
+    # np.asarray([]) is float64, but an empty list holds no non-integer id
+    X = SimplicialComplex.build(np.array([4, 2], dtype=np.uint32), [1.0, 0.0], {1: [], 2: []})
+    assert X.vertex_ids.tolist() == [2, 4] and X.simplices == {}
+    X = SimplicialComplex.build([0, 1], [0.0, 1.0], {1: np.array([[1, 0]], dtype=np.int32)})
+    assert X.simplices[1].tolist() == [[0, 1]]
+
+
 def _brute_force_closure(simplices):
     """Every face of every given simplex (as index tuples), by dimension."""
     out = {}

@@ -25,6 +25,7 @@ from reebsmooth.experiments import (
     run_stability,
 )
 from reebsmooth.fileio import to_dot
+from reebsmooth.reeb import reeb_graph
 from reebsmooth.smoothing import SmoothingFactor, smooth_local
 
 
@@ -180,8 +181,9 @@ def test_cli_build_rejects_unknown_vertex_id(tmp_path, capsys):
     mesh = tmp_path / "bad.json"
     vertices = [{"id": 0, "coords": [0.0]}, {"id": 1, "coords": [1.0]}]
     mesh.write_text(json.dumps({"vertices": vertices, "simplices": {"1": [[0, 1], [1, 2]]}}))
-    assert main(["build", "--in", str(mesh), "--out", str(tmp_path / "g.json")]) == 3
-    assert "unknown vertex id 2" in capsys.readouterr().err
+    assert main(["build", "--in", str(mesh), "--out", str(tmp_path / "g.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {mesh}: bad complex JSON: simplex references unknown vertex id 2\n"
     assert not (tmp_path / "g.json").exists()
 
 
@@ -448,6 +450,53 @@ def test_cli_gate_cases_parse():
     parser = _build_parser()
     for name, argv in CASES:
         assert callable(parser.parse_args(argv).func), name
+
+
+def test_cli_main_calls_in_one_process_are_independent(tmp_path):
+    # the parser is built once per process; no flag of one call leaks into the next
+    from reebsmooth.fileio import complex_to_dict, dump_json
+    from reebsmooth.meshes import circle_complex
+
+    X, f = circle_complex(12)
+    mesh = tmp_path / "circle.json"
+    dump_json(complex_to_dict(X, field=f), mesh)
+    first = ["build", "--in", str(mesh), "--field", "x", "--out", str(tmp_path / "a.json")]
+    second = ["build", "--in", str(mesh), "--out", str(tmp_path / "b.json")]
+    assert main(first + ["--dot", str(tmp_path / "a.dot")]) == 0
+    graph_x = (tmp_path / "a.json").read_bytes()
+    assert main(second) == 0
+    assert json.loads((tmp_path / "b.json").read_text())["graph"] == reeb_graph(X, f).to_dict()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.dot", "a.json", "b.json", "circle.json"]
+    assert main(first) == 0
+    assert (tmp_path / "a.json").read_bytes() == graph_x
+    assert _build_parser() is _build_parser()
+    args = _build_parser().parse_args(second)
+    assert args.field is None and args.dot is None
+
+
+@pytest.mark.parametrize("command", [[], ["build"], ["smooth"], ["range"], ["stability"], ["fig4"]])
+def test_cli_help_is_a_fresh_parsers_help(capsys, command):
+    # _build_parser is cached; its uncached body gives the same --help text
+    with pytest.raises(SystemExit) as done:
+        _build_parser.__wrapped__().parse_args(command + ["--help"])
+    assert done.value.code == 0
+    fresh = capsys.readouterr().out
+    assert "usage: reebsmooth" in fresh
+    for _ in range(2):
+        with pytest.raises(SystemExit) as done:
+            main(command + ["--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out == fresh
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only wasserstein2 uses scipy.optimize, and it imports it when called
+    src = str(Path(reebsmooth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, reebsmooth.cli, reebsmooth.experiments; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_readme_quick_start_runs():

@@ -23,6 +23,8 @@ from reebsmooth.fileio import (
 from reebsmooth.meshes import circle_complex, torus_mesh
 from reebsmooth.reeb import ReebGraph, is_isomorphic, reeb_graph
 
+from oracles import OffFault, off_oracle
+
 GOOD_OFF = """OFF
 # a comment
 3 1 0
@@ -158,6 +160,84 @@ def test_parse_off_faults_name_their_line(text, line, message):
         parse_off(text, path="m.off")
     assert str(err.value) == f"m.off:{line}: {message}"
     assert err.value.line == line
+
+
+_COORD_FORMATS = (repr, "{:.4g}".format, "{:.17g}".format, "{:e}".format, lambda c: str(round(c)))
+_COLORS = (" 255 0 0", " 0.5 0.25 1 1", " 7", "")
+
+
+def _off_text(rng):
+    """A seeded OFF text and its line break: comments, blank lines, tabs, LF or
+    CRLF, color fields, faces of one size or of mixed sizes, and now and then
+    one line broken in a way that may or may not be a fault."""
+    nv = int(rng.integers(4, 14))
+    width = int(rng.integers(1, 4))
+    scale = 10.0 ** rng.integers(-3, 4, size=(nv, width))
+    vertex_rows = [
+        [_COORD_FORMATS[rng.integers(len(_COORD_FORMATS))](c) for c in row]
+        for row in rng.normal(size=(nv, width)) * scale
+    ]
+    sizes = ((3,), (2,), (4,), (2, 3), (2, 3, 4))[rng.integers(5)]
+    colors = _COLORS[: rng.integers(1, len(_COLORS) + 1)]
+    face_rows = []
+    for _ in range(int(rng.integers(0, 3 * nv))):
+        k = int(rng.choice(sizes))
+        face = [str(v) for v in rng.choice(nv, size=k, replace=False)]
+        color = colors[rng.integers(len(colors))].split()
+        face_rows.append([str(k), *face, *color])
+    rows = vertex_rows + face_rows
+    if rng.random() < 0.5:
+        row = rows[rng.integers(len(rows))]
+        fault = rng.integers(5)
+        if fault == 0:
+            row[rng.integers(len(row))] = "x"
+        elif fault == 1 and len(row) > 1:
+            row.pop()
+        elif fault == 2:
+            row.append("1")
+        elif fault == 3 and row in face_rows:
+            row[1 + rng.integers(len(row) - 1)] = str(nv + int(rng.integers(2)))
+        elif row in face_rows:
+            row[0] = ("5", "1", "2.0", "3")[rng.integers(4)]
+    lines = ["OFF" + (" # header" if rng.random() < 0.3 else ""), f"{nv} {len(face_rows)} 0"]
+    if rng.random() < 0.3:
+        lines.insert(0, "# leading comment")
+    for row in rows:
+        pad = ("", " ", "\t", "  ")
+        line = pad[rng.integers(4)] + " ".join(row) + pad[rng.integers(4)]
+        if rng.random() < 0.2:
+            line += "# trailing " + str(rng.integers(9))
+        lines.append(line)
+        if rng.random() < 0.15:
+            lines.append(("", "   ", "# a comment line", "\t#")[rng.integers(4)])
+    if rng.random() < 0.2:
+        lines.append("9 9 9  # a line past the faces")
+    end = "\r\n" if rng.random() < 0.5 else "\n"
+    return end.join(lines) + (end if rng.random() < 0.7 else "")
+
+
+def test_parse_off_matches_a_line_by_line_reader():
+    # the one-conversion fast paths give the oracle's complex, or fail on the
+    # oracle's first faulty line
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for case in range(400):
+        text = _off_text(rng)
+        data = text.encode() if case % 2 else text
+        try:
+            coords, simplices = off_oracle(text)
+        except OffFault as fault:
+            with pytest.raises(ParseError) as err:
+                parse_off(data, path="m.off")
+            assert err.value.line == fault.line, text
+            outcomes.add("fault")
+            continue
+        X = parse_off(data)
+        assert X.vertex_ids.tolist() == list(range(len(coords)))
+        assert X.coords.tobytes() == np.array(coords, dtype=np.float64).tobytes(), text
+        assert {d: [tuple(r) for r in rows.tolist()] for d, rows in X.simplices.items()} == simplices
+        outcomes.add(max(simplices, default=0))
+    assert outcomes == {"fault", 0, 1, 2, 3}
 
 
 POINTS_FAULTS = [
@@ -334,6 +414,30 @@ def test_complex_json_ids_and_entries_must_be_integers(tmp_path, capsys, vertex_
     assert main(["build", "--in", str(mesh), "--out", str(tmp_path / "g.json")]) == 2
     err = capsys.readouterr().err
     assert "bad.json" in err and message in err
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize(
+    "vertices, simplices, message",
+    [
+        ([0, 1], {"1": [[0, 1], [1, 7]]}, "simplex references unknown vertex id 7"),
+        ([0, 1, 0], {"1": [[0, 1]]}, "duplicate vertex ids"),
+        ([], {}, "complex needs at least one vertex"),
+        ([0, 2**63], {}, "vertex ids must fit in 64 bits"),
+        ([0, 1, 2], {"1": [[0, 2**63]]}, "simplex references an unknown vertex id"),
+        ([0, 1], {"1": [[1, 1]]}, "degenerate simplex (repeated vertex): (1, 1)"),
+        ([0, 1, 2, 3, 4], {"4": [[0, 1, 2, 3, 4]]}, "simplex dimension 4 exceeds maximum 3"),
+    ],
+    ids=["unknown id", "duplicate id", "no vertex", "id beyond int64", "entry beyond int64",
+         "repeated vertex", "dimension 4"],
+)
+def test_complex_json_that_build_rejects_is_a_parse_error(tmp_path, capsys, vertices, simplices, message):
+    data = {"vertices": [{"id": i, "coords": [float(n)]} for n, i in enumerate(vertices)]}
+    data["simplices"] = simplices
+    mesh = tmp_path / "bad.json"
+    mesh.write_text(json.dumps(data))
+    assert main(["build", "--in", str(mesh), "--out", str(tmp_path / "g.json")]) == 2
+    assert capsys.readouterr().err == f"error: {mesh}: bad complex JSON: {message}\n"
     assert not (tmp_path / "g.json").exists()
 
 

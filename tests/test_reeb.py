@@ -185,6 +185,28 @@ def test_is_isomorphic_size_guard():
         is_isomorphic(g, g)
 
 
+def test_vertex_hulls_match_row_reductions():
+    # elementwise minimum/maximum over column gathers equal the row reductions
+    rng = np.random.default_rng(5)
+    for case in range(60):
+        n = int(rng.integers(1, 30))
+        widths = (1, 2, 3, 4)[: rng.integers(1, 5)]
+        blocks = [rng.integers(0, n, size=(int(rng.integers(0, 40)), w)) for w in widths]
+        if case % 2:
+            lo = rng.integers(-5, 5, size=n)
+            hi = lo + rng.integers(0, 3, size=n)
+        else:
+            # signed zeros in both bounds, so the sign of a zero hull is pinned
+            zeros = [-0.0, 0.0, 0.5, -1.25, np.inf, -np.inf]
+            lo = rng.choice(zeros, size=n) if case % 4 else rng.normal(size=n)
+            hi = lo + (rng.choice([-0.0, 0.0, 0.25], size=n) if case % 4 else rng.uniform(0.0, 1.0, size=n))
+        vmin, vmax = _core.vertex_hulls(blocks, lo, hi)
+        assert vmin.dtype == lo.dtype and vmax.dtype == hi.dtype
+        # bytes, not values: array_equal holds -0.0 and 0.0 equal
+        assert vmin.tobytes() == np.concatenate([lo[b].min(axis=1) for b in blocks]).tobytes()
+        assert vmax.tobytes() == np.concatenate([hi[b].max(axis=1) for b in blocks]).tobytes()
+
+
 def test_level_components_counts():
     X, f = circle_complex(24)
     assert level_components(X, f, 0.0)[0] == 2
