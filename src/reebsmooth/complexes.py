@@ -4,12 +4,14 @@ A complex stores an id-sorted vertex table (integer ids, coordinates in R^k,
 k <= 3) and, per dimension, an array of simplices as vertex-index rows, each
 row ascending and the rows strictly increasing in lexicographic order.
 Complexes are closed under taking faces.  `SimplicialComplex.build` is the
-one route from raw input arrays: every reader, mesh builder and the
-thickening calls it.  Validation checks all of this with whole-array
-operations.  Its closure check looks every codim-1 face up one dimension
-down, and the positions it finds are the complex's incidence table
-(`SimplicialComplex.face_table`), which the sweeps in `reeb` read together
-with its sweep plan (`SimplicialComplex.sweep_plan`, computed once).
+one construction route: every reader, mesh builder and the thickening calls
+it.  In one pass of whole-array operations it checks the raw input, sorts
+it, closes it under faces one dimension at a time, and reads the complex's
+incidence table (`SimplicialComplex.face_table`) off that closure: the
+deduplication that merges each dimension with the faces of the one above
+also says where every face landed.  The sweeps in `reeb` read that table
+together with its sweep plan (`SimplicialComplex.sweep_plan`, computed
+once).
 
 The staircase thickening is the reference construction of a smoothing's
 domain {(x, t) : |t| <= r(x)}.  It replaces each vertex column by three copies
@@ -125,74 +127,78 @@ def _faces(rows):
     return np.concatenate([np.delete(rows, p, axis=1) for p in range(rows.shape[1])])
 
 
-def _close(by_dim):
-    """Close ascending index rows under faces: dim -> lex-sorted unique rows.
+def _close(n, by_dim):
+    """Close ascending index rows under faces: (simplices, face_table).
 
     Runs top down, so each dimension is deduplicated once, together with the
-    faces of the dimension above.
+    faces of the dimension above.  The inverse of that deduplication is where
+    each of those faces lands, which is the dimension above's part of
+    `pair_b`; an edge's faces are its own vertex indices.
     """
-    closed = {}
-    faces = None
-    for d in range(max(by_dim, default=0), 0, -1):
-        chunks = [c for c in (by_dim.get(d), faces) if c is not None]
-        if chunks:
-            rows = np.concatenate(chunks)
-            _, first = np.unique(_row_keys(rows), return_index=True)
-            closed[d] = rows[first]
-            faces = _faces(closed[d])
-    return closed
+    top = max(by_dim, default=0)
+    closed, facets = {}, {}
+    faces = np.empty((0, top + 1), dtype=np.int64)
+    for d in range(top, 0, -1):
+        given = by_dim.get(d, faces[:0])
+        rows = np.concatenate([given, faces])
+        _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+        closed[d] = rows[first]
+        facets[d + 1] = inverse[len(given) :]
+        faces = _faces(closed[d])
+    facets[1] = faces[:, 0]
+    blocks = [np.arange(n, dtype=np.int64)[:, None]]
+    blocks += [closed.get(d, np.empty((0, 2), dtype=np.int64)) for d in range(1, max(top, 1) + 1)]
+    start = np.cumsum([0] + [len(b) for b in blocks])
+    dims = range(1, len(blocks))
+    pair_a = np.concatenate([np.tile(np.arange(start[d], start[d + 1]), d + 1) for d in dims])
+    pair_b = np.concatenate([start[d - 1] + facets[d] for d in dims])
+    first_vertex = np.concatenate([b[:, 0] for b in blocks])
+    return closed, (blocks, first_vertex, pair_a, pair_b)
 
 
 class SimplicialComplex:
     """Finite simplicial complex, dimension <= 3, with vertex coordinates.
 
-    Parameters
-    ----------
-    vertex_ids : (n,) int array, strictly increasing
-    coords : (n, k) float array, 1 <= k <= 3
-    simplices : dict dim -> (m, dim+1) int array of vertex *indices*, each
-        row ascending and the rows strictly increasing in lexicographic order
-        (both checked).  Dimension 0 is implied by the vertex table and must
-        not be passed.
+    Made by `build`, which derives every attribute in one pass:
 
-    `build` takes the same three inputs raw: ids in any order, and rows of
-    vertex ids in any order, not yet closed under faces.
-
-    Construction validates the complex and sets `face_table`, the global
-    simplex enumeration (vertices first, then dimensions 1, 2, 3, each in row
-    order) as a tuple (blocks, first_vertex, pair_a, pair_b): the per-dimension
-    index-row arrays (an edge block even without edges), the smallest vertex
-    index of each global simplex, and every (cofacet, facet) incidence as
-    global indices, per dimension in "drop column p" order.
+    vertex_ids : (n,) int64 array, strictly increasing
+    coords : (n, k) float64 array, 1 <= k <= 3, finite
+    simplices : dict dim -> (m, dim+1) int64 array of vertex *indices*, each
+        row ascending and the rows strictly increasing in lexicographic order,
+        for every dimension 1..dim; dimension 0 is the vertex table.  The
+        complex is closed under faces.
+    face_table : the global simplex enumeration (vertices first, then
+        dimensions 1, 2, 3, each in row order) as a tuple (blocks,
+        first_vertex, pair_a, pair_b): the per-dimension index-row arrays (an
+        edge block even without edges), the smallest vertex index of each
+        global simplex, and every (cofacet, facet) incidence as global
+        indices, per dimension in "drop column p" order.
     """
 
-    def __init__(self, vertex_ids, coords, simplices):
-        self.vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.ndim == 1:
-            coords = coords[:, None]
+    def __init__(self, vertex_ids, coords, simplices, face_table):
+        """Store the arrays `build` derived, unchecked; call `build` instead."""
+        self.vertex_ids = vertex_ids
         self.coords = coords
-        rows = {int(d): np.asarray(r, dtype=np.int64) for d, r in simplices.items()}
-        # drop empty dimensions for a canonical shape
-        self.simplices = {d: r for d, r in rows.items() if r.size}
+        self.simplices = simplices
+        self.face_table = face_table
         self._diameter = None
         self._plan = None
-        self.validate()
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def build(cls, vertex_ids, coords, simplices):
-        """Build a closed complex from raw arrays; the one raw-input route.
+        """Build a closed complex from raw arrays; the one construction route.
 
         vertex_ids: (n,) integer array of distinct ids, in any order.  Ids
         and rows of a float, bool or other non-integer dtype are rejected, not
         truncated.
-        coords: (n, k) or (n,) array, row-aligned with vertex_ids.
+        coords: (n, k) or (n,) array of finite values, 1 <= k <= 3,
+        row-aligned with vertex_ids.
         simplices: dict dim -> (m, dim+1) rows of vertex *ids*, in any row
         and column order.  Dimension-0 rows are checked for unknown ids and
         then dropped, since the vertex table implies them.  The vertices are
-        sorted by id and all faces are added.
+        sorted by id, all faces are added and the face table is derived.
         """
         try:
             ids = np.asarray(vertex_ids, dtype=np.int64)
@@ -236,7 +242,28 @@ class SimplicialComplex:
                 raise ValidationError(f"simplex dimension {d} exceeds maximum {MAX_COMPLEX_DIM}")
             if d > 0:
                 by_dim[d] = rows
-        return cls(ids, np.asarray(coords, dtype=np.float64)[order], _close(by_dim))
+        coords = np.asarray(coords, dtype=np.float64)[order]
+        if coords.ndim == 1:
+            coords = coords[:, None]
+        if coords.ndim != 2 or not (1 <= coords.shape[1] <= MAX_COORD_DIM):
+            raise ValidationError(f"coordinates must live in R^k, 1 <= k <= {MAX_COORD_DIM}")
+        if not np.all(np.isfinite(coords)):
+            raise ValidationError("coordinates must be finite")
+        return cls(ids, coords, *_close(len(ids), by_dim))
+
+    def validate(self):
+        """True if `build` of this complex's own arrays gives them all back
+        unchanged (so closing adds nothing); ValidationError otherwise."""
+        ids = self.vertex_ids
+        # an index out of range reads as an end vertex, so its row comes back changed
+        rows = {d: ids.take(r, mode="clip") for d, r in self.simplices.items()}
+        mine, again = [
+            [X.vertex_ids, X.coords, *X.simplices.values(), *X.face_table[0], *X.face_table[1:]]
+            for X in (self, self.build(ids, self.coords, rows))
+        ]
+        if len(mine) != len(again) or not all(map(np.array_equal, mine, again)):
+            raise ValidationError("complex differs from build() of its own arrays")
+        return True
 
     # -- basic properties ----------------------------------------------------
 
@@ -285,66 +312,6 @@ class SimplicialComplex:
             blocks, _, pair_a, pair_b = self.face_table
             self._plan = sweep_plan(blocks, pair_a, pair_b)
         return self._plan
-
-    # -- validation ----------------------------------------------------------
-
-    def validate(self):
-        """Check every invariant in the class docstring, then set `face_table`."""
-        ids = self.vertex_ids
-        if ids.ndim != 1 or len(ids) == 0:
-            raise ValidationError("complex needs at least one vertex")
-        if np.any(np.diff(ids) <= 0):
-            raise ValidationError("vertex ids must be strictly increasing (use build())")
-        if self.coords.shape[0] != len(ids):
-            raise ValidationError("coords misaligned with vertex table")
-        if not (1 <= self.coords.shape[1] <= MAX_COORD_DIM):
-            raise ValidationError(f"coordinates must live in R^k, 1 <= k <= {MAX_COORD_DIM}")
-        if not np.all(np.isfinite(self.coords)):
-            raise ValidationError("coordinates must be finite")
-        n = len(ids)
-        for d, rows in sorted(self.simplices.items()):
-            if d < 1 or d > MAX_COMPLEX_DIM:
-                raise ValidationError(f"bad simplex dimension {d}")
-            if rows.ndim != 2 or rows.shape[1] != d + 1:
-                raise ValidationError(f"dimension-{d} rows must have {d + 1} vertices")
-            if rows.min() < 0 or rows.max() >= n:
-                raise ValidationError("simplex references a missing vertex")
-            if np.any(np.diff(rows, axis=1) <= 0):
-                raise ValidationError("simplex tuples must be sorted ascending, no repeats")
-            # each row minus the one before it, read at its first nonzero column
-            step = np.diff(rows, axis=0)
-            lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
-            if np.any(lead == 0):
-                raise ValidationError(f"duplicate dimension-{d} simplices")
-            if np.any(lead < 0):
-                raise ValidationError(f"dimension-{d} rows must increase in lexicographic order")
-        # closure: every codim-1 face is a row one dimension down; where each
-        # face sits there is the incidence table
-        blocks = [np.arange(n, dtype=np.int64)[:, None]]
-        for d in range(1, max(self.dim, 1) + 1):
-            blocks.append(self.simplices.get(d, np.empty((0, d + 1), dtype=np.int64)))
-        offsets = np.cumsum([0] + [len(b) for b in blocks])
-        pair_a = [np.empty(0, dtype=np.int64)]
-        pair_b = [np.empty(0, dtype=np.int64)]
-        for i in range(1, len(blocks)):
-            rows, faces = blocks[i], _faces(blocks[i])
-            table, wanted = _row_keys(blocks[i - 1]), _row_keys(faces)
-            pos = np.searchsorted(table, wanted)
-            found = pos < len(table)
-            found[found] = table[pos[found]] == wanted[found]
-            if not np.all(found):
-                j = int(np.argmin(found))
-                raise ValidationError(
-                    f"complex not closed: face {tuple(faces[j].tolist())} of "
-                    f"{tuple(rows[j % len(rows)].tolist())} missing"
-                )
-            pair_a.append(np.tile(np.arange(offsets[i], offsets[i + 1]), i + 1))
-            pair_b.append(offsets[i - 1] + pos)
-        first_vertex = np.concatenate([b[:, 0] for b in blocks])
-        pair_a, pair_b = np.concatenate(pair_a), np.concatenate(pair_b)
-        self.face_table = (blocks, first_vertex, pair_a, pair_b)
-        self._plan = None
-        return True
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,10 @@ def parse_off(data, path=None):
         return {size - 1: idx for size, idx in groups.items()}
 
     simplices = _read_rows(rows[nv : nv + nf], path, faces)
-    return SimplicialComplex.build(np.arange(nv), coords, simplices)
+    try:
+        return SimplicialComplex.build(np.arange(nv), coords, simplices)
+    except ValidationError as exc:
+        raise ParseError(str(exc), path=path) from None
 
 
 def load_off(path):
@@ -266,13 +269,11 @@ def complex_from_dict(data, path=None):
             simplices.setdefault(d, []).extend(rows)
         try:
             X = SimplicialComplex.build(ids, coords, simplices)
+            field = ScalarField(data["field"]) if "field" in data else None
         except ValidationError as exc:
             raise ParseError(f"bad complex JSON: {exc}", path=path) from None
-        field = None
-        if "field" in data:
-            field = ScalarField(data["field"])
-            if len(field.values) != X.n_vertices:
-                raise ParseError("field length does not match vertex count", path=path)
+        if field is not None and len(field.values) != X.n_vertices:
+            raise ParseError("field length does not match vertex count", path=path)
         return X, field
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad complex JSON: {exc}", path=path) from None

@@ -3,9 +3,10 @@
     PYTHONPATH=<tree>/src python tests/cli_cases.py OUTDIR
 
 writes seeded inputs to OUTDIR/inputs, then runs `python -m reebsmooth` once
-per entry of CASES, with OUTDIR/<case> as the working directory.  Each case
-directory keeps the argv, stdout, stderr and exit code of its run and every
-file the run wrote; OUTDIR/MANIFEST.sha256 lists the sha256 of every file.
+per entry of CASES, with OUTDIR/<case> as the working directory (so <tree>
+must be an absolute path).  Each case directory keeps the argv, stdout,
+stderr and exit code of its run and every file the run wrote;
+OUTDIR/MANIFEST.sha256 lists the sha256 of every file.
 Inputs are made with numpy alone, not with the tree under test, and every path
 a case names is relative, so `diff -r` of the OUTDIRs of two trees is the gate
 for a change that must keep the CLI's output.
@@ -51,6 +52,9 @@ CASES = [
     ("build-json-solid", ["build", "--in", IN + "solid.json", "--dot", "g.dot"]),
     ("error-json-unknown-id", ["build", "--in", IN + "unknown-id.json"]),
     ("error-json-duplicate-id", ["build", "--in", IN + "duplicate-id.json"]),
+    ("error-nan-off", ["build", "--in", IN + "nan.off"]),
+    ("error-json-nan-field", ["build", "--in", IN + "nan-field.json"]),
+    ("error-json-nested-coords", ["build", "--in", IN + "nested-coords.json"]),
 ]
 
 
@@ -148,6 +152,11 @@ def write_inputs(folder):
     _write(os.path.join(folder, "unknown-id.json"), json.dumps(unknown))
     twice = {"vertices": pair + [{"id": 0, "coords": [2.0]}], "simplices": {"1": [[0, 1]]}}
     _write(os.path.join(folder, "duplicate-id.json"), json.dumps(twice))
+    _write(os.path.join(folder, "nan.off"), "OFF\n3 1 0\n0 0\nnan 0\n0 1\n3 0 1 2\n")
+    nan_field = {"vertices": pair, "simplices": {"1": [[0, 1]]}, "field": [0.0, float("nan")]}
+    _write(os.path.join(folder, "nan-field.json"), json.dumps(nan_field))
+    nested = [{"id": i, "coords": [row]} for i, row in enumerate([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])]
+    _write(os.path.join(folder, "nested-coords.json"), json.dumps({"vertices": nested, "simplices": {"2": [[0, 1, 2]]}}))
 
 
 def run(outdir):

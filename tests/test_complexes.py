@@ -61,20 +61,21 @@ def test_build_rejects_out_of_range_vertex():
 
 SQUARE_IDS = np.arange(4)
 SQUARE_COORDS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-SQUARE_EDGES = [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]]
+SQUARE_TRIANGLES = [[0, 1, 2], [1, 2, 3]]
+REBUILT = r"differs from build\(\) of its own arrays"
 
 
 def test_validate_rejects_rows_out_of_lex_order():
-    # closed, but the edge rows are not lex sorted: the face lookup assumes
-    # they are, so validate must refuse the complex rather than let a sweep
-    # report it as not closed
-    simplices = {1: [[1, 2], [0, 1], [0, 2], [1, 3], [2, 3]], 2: [[1, 2, 3], [0, 1, 2]]}
-    with pytest.raises(ValidationError, match="lexicographic"):
-        SimplicialComplex(SQUARE_IDS, SQUARE_COORDS, simplices)
-    # the same complex with sorted rows is accepted and sweeps
-    X = SimplicialComplex(
-        SQUARE_IDS, SQUARE_COORDS, {1: SQUARE_EDGES, 2: [[0, 1, 2], [1, 2, 3]]}
-    )
+    # a built complex whose edge rows are swapped afterwards is no longer the
+    # one build gives for its arrays; a fresh build of the same input is, and
+    # sweeps
+    X = SimplicialComplex.build(SQUARE_IDS, SQUARE_COORDS, {2: SQUARE_TRIANGLES})
+    edges = X.simplices[1]
+    edges[[0, 1]] = edges[[1, 0]]
+    with pytest.raises(ValidationError, match=REBUILT):
+        X.validate()
+    X = SimplicialComplex.build(SQUARE_IDS, SQUARE_COORDS, {2: SQUARE_TRIANGLES})
+    assert X.validate()
     assert reeb_graph(X, X.coords[:, 1]).n_nodes == 2
 
 
@@ -82,31 +83,26 @@ def test_validate_rejects_rows_out_of_lex_order():
     "ids, coords, simplices, message",
     [
         ([], np.empty((0, 2)), {}, "at least one vertex"),
-        ([0, 2, 1, 3], SQUARE_COORDS, {}, "strictly increasing"),
+        ([0, 2, 1, 3], SQUARE_COORDS, {}, REBUILT),
         (SQUARE_IDS, SQUARE_COORDS[:3], {}, "misaligned"),
         (SQUARE_IDS, np.zeros((4, 4)), {}, r"R\^k, 1 <= k <= 3"),
         (SQUARE_IDS, np.full((4, 2), np.nan), {}, "finite"),
-        (SQUARE_IDS, SQUARE_COORDS, {0: [[0], [1]]}, "bad simplex dimension 0"),
-        (SQUARE_IDS, SQUARE_COORDS, {4: [[0, 1, 2, 3, 4]]}, "bad simplex dimension 4"),
+        (SQUARE_IDS, SQUARE_COORDS, {0: [[0], [1]]}, REBUILT),
+        (np.arange(5), np.zeros((5, 2)), {4: [[0, 1, 2, 3, 4]]}, "dimension 4 exceeds"),
         (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 1, 2]]}, "must have 2 vertices"),
         (SQUARE_IDS, SQUARE_COORDS, {1: [0, 1]}, "must have 2 vertices"),
-        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 4]]}, "missing vertex"),
-        (SQUARE_IDS, SQUARE_COORDS, {1: [[-1, 0]]}, "missing vertex"),
-        (SQUARE_IDS, SQUARE_COORDS, {1: [[1, 0]]}, "sorted ascending"),
-        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 0]]}, "sorted ascending"),
-        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 1], [0, 1]]}, "duplicate dimension-1"),
-        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 2], [0, 1]]}, "lexicographic"),
-        (
-            SQUARE_IDS,
-            SQUARE_COORDS,
-            {1: [[0, 1], [1, 2]], 2: [[0, 1, 2]]},
-            r"face \(0, 2\) of \(0, 1, 2\)",
-        ),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 4]]}, REBUILT),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[-1, 0]]}, "repeated vertex"),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[1, 0]]}, REBUILT),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 0]]}, "repeated vertex"),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 1], [0, 1]]}, REBUILT),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 2], [0, 1]]}, REBUILT),
+        (SQUARE_IDS, SQUARE_COORDS, {1: [[0, 1], [1, 2]], 2: [[0, 1, 2]]}, REBUILT),
         (
             SQUARE_IDS,
             SQUARE_COORDS,
             {1: [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]], 3: [[0, 1, 2, 3]]},
-            r"face \(1, 2, 3\) of \(0, 1, 2, 3\)",
+            REBUILT,
         ),
     ],
     ids=[
@@ -130,8 +126,13 @@ def test_validate_rejects_rows_out_of_lex_order():
     ],
 )
 def test_validate_rejections(ids, coords, simplices, message):
+    # arrays that build did not derive, stored unchecked beside the square's
+    # face table: validate's rebuild refuses each of them
+    square = SimplicialComplex.build(SQUARE_IDS, SQUARE_COORDS, {2: SQUARE_TRIANGLES})
+    rows = {d: np.asarray(r, dtype=np.int64) for d, r in simplices.items()}
+    X = SimplicialComplex(np.asarray(ids, dtype=np.int64), coords, rows, square.face_table)
     with pytest.raises(ValidationError, match=message):
-        SimplicialComplex(ids, coords, simplices)
+        X.validate()
 
 
 # ids 0, 10, 20, 30 given out of order, with their coords in the same order
@@ -180,6 +181,16 @@ FIFTH = np.array([[5.0, 5.0]])
             "dimension-2 rows must have 3 vertices",
         ),
         (SQUARE_BUILD_IDS, SQUARE_BUILD_COORDS, {1: [0, 10]}, "dimension-1 rows must have 2"),
+        (SQUARE_BUILD_IDS, np.zeros((4, 4)), {}, r"coordinates must live in R\^k, 1 <= k <= 3"),
+        (SQUARE_BUILD_IDS, np.zeros((4, 0)), {}, r"coordinates must live in R\^k, 1 <= k <= 3"),
+        (
+            SQUARE_BUILD_IDS,
+            SQUARE_BUILD_COORDS[:, None, :],
+            {},
+            r"coordinates must live in R\^k, 1 <= k <= 3",
+        ),
+        (SQUARE_BUILD_IDS, np.r_[SQUARE_COORDS[:3], [[np.inf, 0.0]]], {}, "coordinates must be finite"),
+        (SQUARE_BUILD_IDS, [np.nan, 0.0, 1.0, 2.0], {}, "coordinates must be finite"),
     ],
     ids=[
         "no vertices",
@@ -194,6 +205,11 @@ FIFTH = np.array([[5.0, 5.0]])
         "row wider than its dimension",
         "ragged rows",
         "flat row",
+        "coords in R^4",
+        "coords in R^0",
+        "nested coords",
+        "coords not finite",
+        "1-d coords not finite",
     ],
 )
 def test_build_rejections(ids, coords, simplices, message):
@@ -283,6 +299,7 @@ def test_build_closure_and_face_table_match_brute_force(data):
                 want_b.append(position[s[:p] + s[p + 1 :]])
     assert pair_a.tolist() == want_a
     assert pair_b.tolist() == want_b
+    assert X.validate()
 
     # the sweep plan's stars: each (vertex, simplex) incidence once, and each
     # pair (c, f) once per vertex v of f, as the incidences (v, c) and (v, f)
@@ -429,7 +446,7 @@ def test_domain_diameter_is_exact_and_cached(n, k):
     # n = 1500 makes the computation run in chunks of rows
     rng = np.random.default_rng(100 * n + k)
     pts = rng.normal(size=(n, k))
-    X = SimplicialComplex(np.arange(n), pts, {})
+    X = SimplicialComplex.build(np.arange(n), pts, {})
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
     first = X.domain_diameter()
     assert first == float(np.sqrt(d2.max()))

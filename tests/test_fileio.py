@@ -70,6 +70,19 @@ def test_parse_off_reports_line_numbers():
     assert "mesh.off:4" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_off_that_build_rejects_names_the_file(tmp_path, capsys, value):
+    text = f"OFF\n3 1 0\n0 0\n{value} 0\n0 1\n3 0 1 2\n"
+    with pytest.raises(ParseError) as err:
+        parse_off(text, path="mesh.off")
+    assert str(err.value) == "mesh.off: coordinates must be finite"
+    mesh = tmp_path / "bad.off"
+    mesh.write_text(text)
+    assert main(["build", "--in", str(mesh), "--out", str(tmp_path / "g.json")]) == 2
+    assert capsys.readouterr().err == f"error: {mesh}: coordinates must be finite\n"
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_parse_weighted_points_normalizes():
     mu = parse_weighted_points("0,0,2.0\n1,0,3.0\n2,0,2.3\n")
     assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -434,6 +447,32 @@ def test_complex_json_ids_and_entries_must_be_integers(tmp_path, capsys, vertex_
 def test_complex_json_that_build_rejects_is_a_parse_error(tmp_path, capsys, vertices, simplices, message):
     data = {"vertices": [{"id": i, "coords": [float(n)]} for n, i in enumerate(vertices)]}
     data["simplices"] = simplices
+    mesh = tmp_path / "bad.json"
+    mesh.write_text(json.dumps(data))
+    assert main(["build", "--in", str(mesh), "--out", str(tmp_path / "g.json")]) == 2
+    assert capsys.readouterr().err == f"error: {mesh}: bad complex JSON: {message}\n"
+    assert not (tmp_path / "g.json").exists()
+
+
+FLAT = [[0.0], [1.0], [2.0]]
+
+
+@pytest.mark.parametrize(
+    "coords, field, message",
+    [
+        ([[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]], None, "coordinates must live in R^k, 1 <= k <= 3"),
+        ([[0.0], [float("nan")], [2.0]], None, "coordinates must be finite"),
+        (FLAT, [0.0, float("nan"), 1.0], "scalar field values must be finite"),
+        (FLAT, FLAT, "scalar field must be a 1-d value array"),
+        (FLAT, ["a", 0.0, 1.0], "could not convert string to float: 'a'"),
+    ],
+    ids=["nested coords", "NaN coordinate", "NaN field value", "nested field", "string field value"],
+)
+def test_complex_json_with_bad_values_is_a_parse_error(tmp_path, capsys, coords, field, message):
+    data = {"vertices": [{"id": i, "coords": c} for i, c in enumerate(coords)]}
+    data["simplices"] = {"2": [[0, 1, 2]]}
+    if field is not None:
+        data["field"] = field
     mesh = tmp_path / "bad.json"
     mesh.write_text(json.dumps(data))
     assert main(["build", "--in", str(mesh), "--out", str(tmp_path / "g.json")]) == 2

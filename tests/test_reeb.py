@@ -467,7 +467,7 @@ def test_link_pruning_keeps_only_the_pairs_that_join():
 
 def _vertices(m):
     """A complex of m isolated vertices."""
-    return SimplicialComplex(np.arange(m), np.zeros((m, 1)), {})
+    return SimplicialComplex.build(np.arange(m), np.zeros((m, 1)), {})
 
 
 def test_sweep_head_codes_do_not_wrap():
